@@ -260,6 +260,9 @@ class CrTurnQueue {
     Node* ltail = tracker_.protect(tail_, kSlotAnchor, tid, nullptr);
     if (tail_.load(std::memory_order_seq_cst) != ltail) return;
     Node* lnext = tracker_.protect(ltail->next, kSlotNext, tid, ltail);
+    // The reservation on lnext holds only if ltail was still the tail (so
+    // lnext still in-queue) when it was read.
+    if (tail_.load(std::memory_order_seq_cst) != ltail) return;
     if (lnext != nullptr) {  // lagging tail
       // INVARIANT: a request slot is cleared before any tail advance to
       // its node.  Otherwise a serving scan could pick an already-linked
@@ -287,7 +290,11 @@ class CrTurnQueue {
       if (ltail->next.compare_exchange_strong(expected, req,
                                               std::memory_order_seq_cst,
                                               std::memory_order_relaxed)) {
-        enqueuers_[k].compare_exchange_strong(req, nullptr,
+        // A failed CAS overwrites its expected argument, so clear the slot
+        // through a copy: `req` must still name the linked node when the
+        // tail is swung to it below.
+        Node* served = req;
+        enqueuers_[k].compare_exchange_strong(served, nullptr,
                                               std::memory_order_seq_cst,
                                               std::memory_order_relaxed);
         tail_.compare_exchange_strong(ltail, req, std::memory_order_seq_cst,

@@ -217,6 +217,9 @@ class KpQueue {
     Node* last = tracker_.protect(tail_, kSlotAnchor, tid, nullptr);
     Node* next = tracker_.protect(last->next, kSlotNext, tid, last);
     if (next == nullptr) return;
+    // `next` is only known to be in-queue while `last` is still the tail;
+    // once head and tail have both moved on it may be retired and freed.
+    if (last != tail_.load(std::memory_order_seq_cst)) return;
     const unsigned etid = next->enq_tid;
     if (etid == kNoThread) {  // initial sentinel: just swing the tail
       tail_.compare_exchange_strong(last, next, std::memory_order_seq_cst,

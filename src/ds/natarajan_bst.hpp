@@ -61,23 +61,35 @@
 //
 // ## Ordered scans
 //
-// scan(lo, hi, fn) iterates the range in ascending key order with a
-// KEY-valued cursor and repeated root-to-leaf descents (seek_ceil):
-// each descent lands on the least leaf with key >= cursor, the visitor
-// runs on unmarked cells only, and the cursor advances to key+1.  The
-// walk is protection-disciplined — hand-over-hand protect_word with the
-// same slot budget as seek — but carries NO pointer state across
-// descents, so the tracker session can be fenced (end_op/begin_op)
-// every kScanChunk visited leaves without invalidating anything: after
-// a fence the next descent simply restarts from the cursor key.  That
-// bounds how long any scheme's reservations pin garbage (for EBR/QSBR
-// the fence is what lets reclamation advance at all during a wide
-// scan).  A descent that a concurrent splice led astray (terminal key
-// below the cursor) is restarted and counted in scan_restarts().
+// scan(lo, hi, fn) iterates the range in ascending key order as an
+// in-order LEAF WALK.  One root descent to the cursor lands on the
+// leaf covering it and records the internal nodes where the route
+// turned left (its ANCHORS: each bounds the leaf's covered range from
+// above).  From there the next leaf is the leftmost leaf of the deepest
+// anchor's right subtree: pop that anchor, step right once, then left
+// to a leaf, pushing every internal node on the leftmost path (each is
+// a left turn for the leaves below it).  The visitor runs on unmarked
+// cells only; the KEY cursor advances to key+1 at every leaf, so the
+// walk can always fall back to a fresh descent from it.  Three cases
+// do: the anchor stack ran empty, a dirty edge was met (helped, then
+// counted in scan_restarts()), and a session fence — every kScanChunk
+// visited leaves the scan ends and re-begins its tracker session, which
+// drops every reservation, the anchors' included.  The fence bounds how
+// long any scheme's reservations pin garbage (for EBR/QSBR it is what
+// lets reclamation advance at all during a wide scan).
 //
-// Why a descent's answer can be trusted — the CLEAN-EDGE discipline:
-// unlike seek() (whose callers re-validate with CAS), a scan descent
-// refuses to walk through a dirty edge.  Every child edge of a node is
+// The anchor stack lives in the three seek-record slots (ancestor,
+// successor, parent) a scan never uses, so kSlotsNeeded stays 6; when
+// it is full the SHALLOWEST anchor is dropped, and running out costs
+// one descent from the cursor.  Three suffice: an in-order walk pops
+// one anchor per leaf and pushes a leftmost path that is usually short,
+// and on the KV benchmark's index (perfbench durable-ordered, traced)
+// an 8-anchor variant measured the same per-key scan cost, within the
+// run-to-run noise of five paired runs.
+//
+// Why a walk's answer can be trusted — the CLEAN-EDGE discipline:
+// unlike seek() (whose callers re-validate with CAS), a scan walk
+// refuses to step through a dirty edge.  Every child edge of a node is
 // dirtied BEFORE the splice that unlinks it — leaf edges are FLAGged by
 // injection, kept edges are TAGged by cleanup, and chain interiors were
 // dirtied by the stalled deletions that formed the chain — and both
@@ -89,13 +101,24 @@
 // routing LIVE: every node on the walk was reachable when stepped
 // through, node keys are immutable, and a live node's covered key-range
 // only widens (splices promote the sibling over the parent's range), so
-// the leaf a clean walk lands on is the one live leaf covering the
-// cursor — no key present throughout the scan can sit below it
+// the leaf a clean walk lands on is the one live leaf covering the key
+// it routed — no key present throughout the scan can sit below it
 // unvisited, and breaking/advancing past its key is authoritative
-// whether its cell is marked or not.  A DIRTY edge means some
-// deletion's physical phase is in flight right there: the scan helps it
-// to completion (physical_remove on the flagged leaf's key) and
-// restarts the descent — counted in scan_restarts().
+// whether its cell is marked or not.
+//
+// Stepping to the next leaf is the same argument iterated.  An anchor
+// stays reserved in its slot from the moment it was stepped through, so
+// reading its right edge is safe; if the anchor has since been spliced
+// out, that edge is dirty and the walk helps and restarts.  A CLEAN
+// right edge proves the anchor still reachable, and its key still
+// bounds the range the previous leaf covered: no key present
+// throughout the scan lies between that leaf and the anchor's key, and
+// the leftmost path below the anchor's right child is exactly the route
+// of the anchor's key — a clean walk landing on the live leaf covering
+// it, which is the next key at or above the cursor.  A DIRTY edge
+// anywhere means some deletion's physical phase is in flight right
+// there: the scan helps it to completion (physical_remove on the
+// flagged leaf's key) and restarts with a descent from the cursor.
 
 #include <atomic>
 #include <cassert>
@@ -242,8 +265,9 @@ class NatarajanBst {
     return n;
   }
 
-  /// Descents restarted because a concurrent splice led them astray
-  /// (monotonic; racy snapshot).
+  /// Scan walks restarted after helping a dirty edge (monotonic; racy
+  /// snapshot).  Fallback descents (empty anchor stack, session fence)
+  /// are not restarts.
   std::uint64_t scan_restarts() const noexcept {
     return scan_restarts_.load(std::memory_order_relaxed);
   }
@@ -263,9 +287,11 @@ class NatarajanBst {
   static constexpr unsigned kSlotLeaf = 3;
   static constexpr unsigned kSlotCurrent = 4;
   static constexpr unsigned kSlotCell = 5;
-  /// seek_ceil never forms an ancestor/successor pair; its deepest
-  /// left-turn anchor reuses the successor slot.
-  static constexpr unsigned kSlotTurn = kSlotSuccessor;
+  /// A scan never forms a seek record; its anchor stack (ring position
+  /// i reserved in slot i) reuses the ancestor/successor/parent slots.
+  static constexpr unsigned kScanAnchors = 3;
+  static_assert(kSlotAncestor == 0 && kSlotSuccessor == 1 && kSlotParent == 2,
+                "anchor ring positions double as reservation slots");
 
   struct ValueCell : reclaim::Block {
     explicit ValueCell(const V& v) : value(v) {}
@@ -294,6 +320,13 @@ class NatarajanBst {
     Node* successor;
     Node* parent;
     Node* leaf;
+  };
+
+  /// Left-turn ancestors of a scan's current leaf, deepest on top.
+  struct AnchorStack {
+    Node* node[kScanAnchors] = {};
+    unsigned bottom = 0;  ///< ring position of the shallowest anchor
+    unsigned depth = 0;
   };
 
   enum class Upsert { kInsert, kPut, kUpdate };
@@ -548,7 +581,11 @@ class NatarajanBst {
   }
 
   /// Natarajan-Mittal cleanup (Algorithm 5): tag the sibling edge, splice
-  /// ancestor→sibling, and retire the removed chain on success.
+  /// ancestor→sibling, and retire the removed chain on success.  Returns
+  /// true only when the splice removed sr.leaf itself: a successful
+  /// splice may instead finish a SIBLING leaf's deletion and promote
+  /// sr.leaf — still tombstoned — into the ancestor's edge, and a
+  /// physical_remove that stopped there would strand it reachable.
   bool cleanup(K key, const SeekRecord& sr, unsigned tid) {
     Node* ancestor = sr.ancestor;
     Node* successor = sr.successor;
@@ -573,7 +610,7 @@ class NatarajanBst {
       if (!util::is_marked(sibling_addr == &parent->left
                                ? parent->right.load(std::memory_order_acquire)
                                : parent->left.load(std::memory_order_acquire))) {
-        return true;
+        return false;
       }
     }
     // The edge NOT kept names the leaf removed at `parent`.  Recorded
@@ -599,7 +636,9 @@ class NatarajanBst {
     Node* removed_leaf = util::unpack_ptr<Node>(
         removed_addr->load(std::memory_order_acquire));
     retire_chain(successor, parent, removed_leaf, tid);
-    return true;
+    // sr.leaf is still reserved (kSlotLeaf), so its address cannot have
+    // been reused by the leaf this splice removed.
+    return removed_leaf == sr.leaf;
   }
 
   /// Retires the spliced-out chain: internals successor..parent and each
@@ -629,13 +668,13 @@ class NatarajanBst {
     tracker_.retire(parent, tid);
   }
 
-  /// The scan descent stepped onto a FLAGged or TAGged edge: a
-  /// deletion's physical phase is in flight (or stalled) right on the
-  /// cursor's routing path.  Crossing it would be unsound — a
-  /// spliced-out node's edges are frozen dirty forever, so the walk
-  /// could ride into memory whose reservation was published after the
-  /// retire (the HP use-after-free class) — and so would reading the
-  /// dirty edge's target to learn which key to help.  Instead, help by
+  /// The scan walk stepped onto a FLAGged or TAGged edge: a deletion's
+  /// physical phase is in flight (or stalled) right on the routing path
+  /// of k.  Crossing it would be unsound — a spliced-out node's edges
+  /// are frozen dirty forever, so the walk could ride into memory whose
+  /// reservation was published after the retire (the HP use-after-free
+  /// class) — and so would reading the dirty edge's target to learn
+  /// which key to help.  Instead, help by
   /// ROUTE: a fresh seek(k) reaches the same parked deletion (the dirty
   /// edge sits on k's path), and both help_remove and cleanup consume
   /// the key only through `key < node->key` comparisons, which k
@@ -643,7 +682,7 @@ class NatarajanBst {
   /// path.  A marked terminal gets the full flag+cleanup help; an
   /// unmarked one still runs cleanup, which completes any tagged splice
   /// pinned at sr.parent (its phantom guard makes the clean case a
-  /// no-op).  Always returns nullptr: the caller restarts the descent.
+  /// no-op).  Always returns nullptr: the caller restarts the walk.
   Node* help_scan_edge(K k, unsigned tid) {
     SeekRecord sr;
     seek(k, sr, tid);
@@ -656,32 +695,33 @@ class NatarajanBst {
     return nullptr;
   }
 
-  /// One root-to-leaf descent landing on the least leaf with key >= k
-  /// (a sentinel when no real key qualifies), protected in kSlotLeaf.
-  /// Phase 1 is the ordinary search descent, remembering the deepest
-  /// node whose path edge turned LEFT (k < node->key) in kSlotTurn; if
-  /// the terminal leaf's key is below k, the ceiling is the leftmost
-  /// leaf of that node's right subtree (no key can live in [k,
-  /// turn->key) on the other side — the routing argument in the header
-  /// of scan_impl), which phase 2 descends.
-  ///
-  /// Unlike seek(), the walk enforces the CLEAN-EDGE discipline (header
-  /// doc): a FLAGged/TAGged edge is never crossed — the deletion parked
-  /// there is helped and nullptr returned so the caller restarts from
-  /// the same cursor.  Every node stepped through was therefore
-  /// reachable when its edge validated, which is what makes both
-  /// phases' routing arguments and the reclamation reservations sound.
-  Node* seek_ceil(K k, unsigned tid) {
-    Node* turn = nullptr;
-    tracker_.clear_slot(kSlotTurn, tid);
-    tracker_.clear_slot(kSlotLeaf, tid);
+  /// Pushes `node` (reserved in kSlotLeaf) as the deepest anchor; a
+  /// full stack drops its shallowest entry.
+  void push_anchor(AnchorStack& st, Node* node, unsigned tid) {
+    const unsigned pos = (st.bottom + st.depth) % kScanAnchors;
+    if (st.depth == kScanAnchors)
+      st.bottom = (st.bottom + 1) % kScanAnchors;  // pos was the bottom
+    else
+      ++st.depth;
+    st.node[pos] = node;
+    tracker_.copy_slot(kSlotLeaf, pos, tid);
+  }
+
+  /// Root descent to the leaf covering k (protected in kSlotLeaf),
+  /// resetting the anchor stack and pushing every internal node where
+  /// the route turned LEFT (k < node->key).  Enforces the CLEAN-EDGE
+  /// discipline (header doc): a FLAGged/TAGged edge is never crossed —
+  /// the deletion parked there is helped and nullptr returned so the
+  /// caller restarts from the same cursor.
+  Node* scan_descend(K k, AnchorStack& st, unsigned tid) {
+    st.depth = 0;
     // k <= kMaxKey < kInf2, so the walk always left-turns at r_ (a
     // permanent sentinel: readable without a reservation; its edges are
-    // never dirtied because sentinels are never deleted).
+    // never dirtied because sentinels are never deleted).  s_ is always
+    // the first anchor pushed.
     Node* node = r_;
     std::uintptr_t next_w = tracker_.protect_word(r_->left, kSlotCurrent, tid, r_);
     Node* next = util::unpack_ptr<Node>(next_w);
-    turn = r_;
     while (next != nullptr) {
       if (util::bits_of(next_w) != 0) return help_scan_edge(k, tid);
       node = next;
@@ -690,32 +730,33 @@ class NatarajanBst {
       next_w = tracker_.protect_word(left ? node->left : node->right,
                                      kSlotCurrent, tid, node);
       next = util::unpack_ptr<Node>(next_w);
-      // Only internal nodes anchor phase 2 (a leaf's null edge ends the
-      // walk without becoming the turn).
-      if (left && next != nullptr) {
-        turn = node;
-        tracker_.copy_slot(kSlotLeaf, kSlotTurn, tid);
-      }
+      // Only internal nodes anchor (a leaf's null edge ends the walk).
+      if (left && next != nullptr) push_anchor(st, node, tid);
     }
-    if (node->key >= k) return node;
-    // Phase 2: leftmost leaf of turn->right (turn is pinned in kSlotTurn
-    // and was reachable when recorded; if it has since been spliced, its
-    // right edge is dirty and the first step below restarts the walk).
-    // A dirty edge here is helped via turn->key, not k: the leftmost
-    // path of turn->right IS turn->key's routing path (equal keys route
-    // right at turn, then strictly left below), so a fresh seek reaches
-    // the parked deletion.
-    next_w = tracker_.protect_word(turn->right, kSlotCurrent, tid, turn);
-    next = util::unpack_ptr<Node>(next_w);
-    if (util::bits_of(next_w) != 0) return help_scan_edge(turn->key, tid);
-    while (next != nullptr) {
-      node = next;
+    return node;
+  }
+
+  /// In-order successor of the current leaf: pops the deepest anchor
+  /// and walks to the leftmost leaf of its right subtree (protected in
+  /// kSlotLeaf), pushing each internal node on that leftmost path.  The
+  /// walk routes the anchor's key (equal keys turn right at the anchor,
+  /// then strictly left below), so a dirty edge on it is helped via that
+  /// key; nullptr then, as in scan_descend.  Requires st.depth > 0.
+  Node* scan_next(AnchorStack& st, unsigned tid) {
+    Node* anchor = st.node[(st.bottom + --st.depth) % kScanAnchors];
+    // Read while the anchor's slot still pins it: the first push below
+    // reuses that slot.
+    const K route = anchor->key;
+    std::uintptr_t next_w =
+        tracker_.protect_word(anchor->right, kSlotCurrent, tid, anchor);
+    for (;;) {
+      if (util::bits_of(next_w) != 0) return help_scan_edge(route, tid);
+      Node* node = util::unpack_ptr<Node>(next_w);
       tracker_.copy_slot(kSlotCurrent, kSlotLeaf, tid);
       next_w = tracker_.protect_word(node->left, kSlotCurrent, tid, node);
-      next = util::unpack_ptr<Node>(next_w);
-      if (util::bits_of(next_w) != 0) return help_scan_edge(turn->key, tid);
+      if (util::strip(next_w) == 0) return node;
+      push_anchor(st, node, tid);
     }
-    return node->key >= k ? node : nullptr;
   }
 
   /// Shared scan loop; fn returns false to stop early.
@@ -726,34 +767,45 @@ class NatarajanBst {
     std::size_t visited = 0;
     std::size_t chunk = 0;
     K cursor = lo;
+    AnchorStack anchors;
     tracker_.begin_op(tid);
+    Node* leaf = scan_descend(cursor, anchors, tid);
     for (;;) {
-      Node* leaf = seek_ceil(cursor, tid);
       if (leaf == nullptr) {
+        // A dirty edge was helped (the help's seek reused the anchor
+        // slots, which scan_descend resets): re-descend from the cursor.
         scan_restarts_.fetch_add(1, std::memory_order_relaxed);
-        continue;  // transient mid-splice view; retry the same cursor
+        leaf = scan_descend(cursor, anchors, tid);
+        continue;
       }
-      if (leaf->key > hi) break;  // sentinel or past the range: done
-      // The clean-edge walk proves `leaf` was reachable, so its key is
-      // an authoritative cursor position either way; a marked cell just
-      // means the key is logically deleted (tombstoned, splice pending)
-      // and is skipped without visiting.
-      const std::uintptr_t cw =
-          tracker_.protect_word(leaf->cell, kSlotCell, tid, leaf);
-      if (!util::is_marked(cw)) {
-        ++visited;
-        if (!fn(leaf->key, util::unpack_ptr<ValueCell>(cw)->value)) break;
+      if (leaf->key >= cursor) {
+        if (leaf->key > hi) break;  // sentinel or past the range: done
+        // The clean-edge walk proves `leaf` was reachable, so its key is
+        // an authoritative cursor position either way; a marked cell
+        // just means the key is logically deleted (tombstoned, splice
+        // pending) and is skipped without visiting.
+        const std::uintptr_t cw =
+            tracker_.protect_word(leaf->cell, kSlotCell, tid, leaf);
+        if (!util::is_marked(cw)) {
+          ++visited;
+          if (!fn(leaf->key, util::unpack_ptr<ValueCell>(cw)->value)) break;
+        }
+        if (leaf->key >= hi) break;  // also guards cursor overflow at kMaxKey
+        cursor = leaf->key + 1;
+        if (++chunk == kScanChunk) {
+          chunk = 0;
+          // Session fence: end_op drops every reservation, the anchors'
+          // included, so the walk resumes by a descent from the cursor.
+          tracker_.end_op(tid);
+          tracker_.begin_op(tid);
+          leaf = scan_descend(cursor, anchors, tid);
+          continue;
+        }
       }
-      if (leaf->key >= hi) break;  // also guards cursor overflow at kMaxKey
-      cursor = leaf->key + 1;
-      if (++chunk == kScanChunk) {
-        chunk = 0;
-        // Session fence: the cursor is a key, so dropping every
-        // reservation here invalidates nothing — the next descent
-        // restarts from the root anyway (see header).
-        tracker_.end_op(tid);
-        tracker_.begin_op(tid);
-      }
+      // Step past the leaf: to its in-order successor, or — every
+      // anchor above it dropped — by a fresh descent from the cursor.
+      leaf = anchors.depth != 0 ? scan_next(anchors, tid)
+                                : scan_descend(cursor, anchors, tid);
     }
     tracker_.end_op(tid);
     return visited;

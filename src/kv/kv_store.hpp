@@ -201,9 +201,12 @@ struct KvConfig {
   /// space in its own tracker domain): enables scan(lo, hi)/range_get
   /// ordered range reads.  Requires unsigned 64-bit keys no larger than
   /// the BST's kMaxKey.  Geometry-independent — resharding never
-  /// touches it.  Writes pay one extra membership op on insert/remove
-  /// transitions; values are never duplicated (scans fetch them from
-  /// the primary table).
+  /// touches it.  Writes pay one extra index op per key written, not
+  /// only on insert/remove transitions: every put-style write (put,
+  /// put_copy, multi_put, txn put) adds the key even when it replaced a
+  /// value (a no-op BST insert), insert adds it only when it inserted,
+  /// every remove drops it, update never touches it.  Values are never
+  /// duplicated (scans fetch them from the primary table).
   bool ordered_index = false;
 };
 
@@ -299,14 +302,15 @@ class KvStore {
       table_.store(tables_.back().get(), std::memory_order_release);
       epoch_.store(1, std::memory_order_release);
     }
-    if (metrics_) metrics_->start_sampler();
-    if (cfg_.admission.enabled) {
-      // After recovery replay (which must never be throttled) and after
-      // the sampler, so the controller's first observation is real.
+    // admit_ is set before the sampler thread (its gauges read it) and
+    // started after recovery replay (which must never be throttled) and
+    // the sampler, so the controller's first observation is real.
+    if (cfg_.admission.enabled)
       admit_ = std::make_unique<admit::AdmissionController>(cfg_.admission);
+    if (metrics_) metrics_->start_sampler();
+    if (admit_)
       admit_->start(metrics_ ? metrics_->sampler() : nullptr,
                     metrics_ ? metrics_->watchdog() : nullptr);
-    }
   }
 
   // tables_ owns every table; shards flush (gate bypassed) before their
@@ -464,31 +468,7 @@ class KvStore {
     const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
     obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
     gate_read();
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      static thread_local ShardPlan plan;  // scratch: reused across calls
-      static thread_local std::vector<std::uint32_t> pend, defer;
-      pend.resize(n);
-      for (std::size_t i = 0; i < n; ++i)
-        pend[i] = static_cast<std::uint32_t>(i);
-      for (;;) {
-        group_subset(plan, *t, pend, [&](std::uint32_t i) {
-          return shard_index_in(*t, keys[i]);
-        });
-        defer.clear();
-        for (std::size_t s = 0; s <= t->mask; ++s) {
-          const std::size_t b = s == 0 ? 0 : plan.start[s - 1],
-                            e = plan.start[s];
-          if (b != e)
-            t->shards[s]->multi_get(keys, plan.order.data() + b, e - b, out,
-                                    tid, defer);
-        }
-        if (defer.empty()) break;
-        t = wait_forward_all(*t, keys, defer, tid);
-        pend.swap(defer);
-      }
-    }
+    multi_get_core(keys, n, out, tid);
     // One record per batch (end-to-end); the trace shard is the first
     // key's — a batch spans shards, attribution wants one anchor.
     if (metrics_ && mt0 != 0)
@@ -612,38 +592,34 @@ class KvStore {
   }
 
   // ---- ordered range scans (KvConfig::ordered_index; 0 results when
-  // the index is off).  The index BST yields keys in ascending order in
-  // bounded chunks; each chunk's values are then fetched from the
-  // primary table, so a scan never reads a value the primary doesn't
-  // currently hold.  Keys present in the primary for the whole scan are
-  // visited exactly once; concurrently inserted/removed keys may or may
-  // not appear.  A stale index entry (possible only transiently, from a
-  // cross-thread put/remove race on one key) misses its primary lookup
-  // and is skipped.  Between chunks the scan drops every reservation
-  // (the cursor is a key, not a pointer) and beats the liveness
-  // watchdog, so arbitrarily wide scans neither pin reclamation nor
-  // false-positive as stalls. ----
+  // the index is off).  The index BST's leaf walk yields keys in
+  // ascending order in chunks of up to 128; each chunk's values are then
+  // fetched from the primary table through the multi_get core (one
+  // tracker session per shard), so a scan never reads a value the
+  // primary doesn't currently hold.  Keys present in the primary for
+  // the whole scan are visited exactly once; concurrently
+  // inserted/removed keys may or may not appear.  A stale index entry
+  // (possible only transiently, from a cross-thread put/remove race on
+  // one key) misses its primary lookup and is skipped.  Between chunks
+  // the scan holds no reservation (the cursor is a key, not a pointer)
+  // and beats the liveness watchdog, so arbitrarily wide scans neither
+  // pin reclamation nor false-positive as stalls. ----
 
   /// Visit every pair with lo <= key <= hi in ascending key order:
   /// fn(key, value).  Returns the number of keys visited.
   template <class Fn>
   std::size_t scan(const K& lo, const K& hi, Fn&& fn, unsigned tid) {
-    return scan_bounded(lo, hi, tid, [&](const K& k, const V& v) {
-      fn(k, v);
-      return true;
-    });
+    return scan_bounded(lo, hi, SIZE_MAX, tid, fn);
   }
 
   /// Bounded collect: at most `max` ascending pairs from [lo, hi] into
-  /// out[]; returns the count.
+  /// out[]; returns the count.  Looks up at most `max` keys in the
+  /// primary (more only to replace stale index entries).
   std::size_t range_get(const K& lo, const K& hi, std::pair<K, V>* out,
                         std::size_t max, unsigned tid) {
-    if (max == 0) return 0;
     std::size_t n = 0;
-    scan_bounded(lo, hi, tid, [&](const K& k, const V& v) {
-      out[n++] = {k, v};
-      return n < max;
-    });
+    scan_bounded(lo, hi, max, tid,
+                 [&](const K& k, const V& v) { out[n++] = {k, v}; });
     return n;
   }
 
@@ -1161,9 +1137,10 @@ class KvStore {
     if (t0 == 0) return;
     const std::uint64_t ns = obs::ticks_to_ns(obs::now_ticks() - t0);
     h.record_owned(ns, tid);  // tid's lane: this thread is its only writer
-    if (ns >= metrics_->opt.slow_op_ns)
-      metrics_->trace.push(kind, static_cast<std::uint32_t>(shard_index(key)),
-                           ns, obs::tls_cause);
+    if (ns < metrics_->opt.slow_op_ns) return;
+    TableGuard g(*this, tid);  // the op's guard is gone; resize frees tables
+    const auto shard = static_cast<std::uint32_t>(shard_index_in(*g.table, key));
+    metrics_->trace.push(kind, shard, ns, obs::tls_cause);
   }
 
   /// Gauge collector for the registry/sampler: one stats() pass fans out
@@ -1277,48 +1254,40 @@ class KvStore {
     if (index_) index_->tree.remove(index_key(key), tid);
   }
 
-  /// Scan driver shared by scan() and range_get(); fn returns false to
-  /// stop early.  Chunked: up to kScanBatch ascending keys from the
-  /// index per round, then per-key primary lookups under one table
-  /// guard, then a watchdog beat — the scan holds no reservation and no
-  /// announcement across rounds.
+  /// Scan loop shared by scan() and range_get(): visits at most `max`
+  /// pairs.  Chunked: up to kScanBatch ascending keys from the index
+  /// per round (never more than the visits still allowed), then one
+  /// shard-grouped lookup of the chunk, then the visits and a watchdog
+  /// beat — the scan holds no reservation and no announcement while fn
+  /// runs or across rounds.
   template <class Fn>
-  std::size_t scan_bounded(const K& lo, const K& hi, unsigned tid, Fn&& fn) {
-    if (!index_ || index_key(lo) > index_key(hi)) return 0;
+  std::size_t scan_bounded(const K& lo, const K& hi, std::size_t max,
+                           unsigned tid, Fn&& fn) {
+    if (!index_ || max == 0 || index_key(lo) > index_key(hi)) return 0;
     const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
     obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
     gate_read();
     static constexpr std::size_t kScanBatch = 128;
     static thread_local std::vector<std::pair<std::uint64_t, std::uint8_t>>
-        chunk;
-    chunk.resize(kScanBatch);
+        chunk(kScanBatch);
+    static thread_local std::vector<K> keys(kScanBatch);
+    static thread_local std::vector<std::optional<V>> vals(kScanBatch);
     std::size_t visited = 0;
     std::uint64_t cursor = index_key(lo);
     const std::uint64_t end = index_key(hi);
-    bool more = true;
-    while (more) {
+    while (visited < max) {
+      const std::size_t want = std::min(kScanBatch, max - visited);
       const std::size_t n =
-          index_->tree.range_get(cursor, end, chunk.data(), kScanBatch, tid);
+          index_->tree.range_get(cursor, end, chunk.data(), want, tid);
       if (n == 0) break;
-      {
-        TableGuard g(*this, tid);
-        for (std::size_t i = 0; i < n && more; ++i) {
-          const K k = static_cast<K>(chunk[i].first);
-          std::optional<V> v;
-          // Each key restarts from the guarded table: forwarding is
-          // per-key (wait_forward only waits on THAT key's bucket), so
-          // a table reached by forwarding key A may not hold an
-          // un-migrated key B yet.
-          Table* t = g.table;
-          while (!shard_in(*t, k).try_get(k, tid, v))
-            t = wait_forward(*t, k, tid);
-          if (v.has_value()) {
-            ++visited;
-            more = fn(k, *v);
-          }
-        }
+      for (std::size_t i = 0; i < n; ++i) keys[i] = static_cast<K>(chunk[i].first);
+      multi_get_core(keys.data(), n, vals.data(), tid);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!vals[i].has_value()) continue;
+        ++visited;
+        fn(keys[i], *vals[i]);
       }
-      if (chunk[n - 1].first >= end || n < kScanBatch) break;
+      if (chunk[n - 1].first >= end || n < want) break;
       cursor = chunk[n - 1].first + 1;
       // Liveness beat between chunks: restarts the watchdog's stall
       // clock so a legitimately wide scan is not reported as a hang.
@@ -1329,6 +1298,35 @@ class KvStore {
     if (metrics_ && mt0 != 0)
       record_op(obs::OpKind::kScan, metrics_->op_scan, mt0, tid, lo);
     return visited;
+  }
+
+  /// Shard-grouped lookup core of multi_get() and scan chunks: a
+  /// counting sort by shard, one tracker session per shard's group;
+  /// keys whose bucket is frozen are deferred and re-dispatched,
+  /// regrouped, against the forwarded table.
+  void multi_get_core(const K* keys, std::size_t n, std::optional<V>* out,
+                      unsigned tid) {
+    TableGuard g(*this, tid);
+    Table* t = g.table;
+    static thread_local ShardPlan plan;  // buffers reused across calls
+    static thread_local std::vector<std::uint32_t> pend, defer;
+    pend.resize(n);
+    for (std::size_t i = 0; i < n; ++i) pend[i] = static_cast<std::uint32_t>(i);
+    for (;;) {
+      group_subset(plan, *t, pend, [&](std::uint32_t i) {
+        return shard_index_in(*t, keys[i]);
+      });
+      defer.clear();
+      for (std::size_t s = 0; s <= t->mask; ++s) {
+        const std::size_t b = s == 0 ? 0 : plan.start[s - 1], e = plan.start[s];
+        if (b != e)
+          t->shards[s]->multi_get(keys, plan.order.data() + b, e - b, out, tid,
+                                  defer);
+      }
+      if (defer.empty()) return;
+      t = wait_forward_all(*t, keys, defer, tid);
+      pend.swap(defer);
+    }
   }
 
   std::size_t shard_index_in(const Table& t, const K& key) const noexcept {

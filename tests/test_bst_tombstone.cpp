@@ -12,7 +12,9 @@
 //     the same tiny key set, so most physical splices are finished by
 //     helpers, not their tombstone winners);
 //   * scans under concurrent writers: strictly ascending, no
-//     duplicates, and every key NO writer touches is always seen;
+//     duplicates, and every key NO writer touches is always seen —
+//     including on a left spine that overflows the scan's anchor stack
+//     on every descent;
 //   * the reclamation ledger: 3 blocks per live key (leaf + routing
 //     internal + value cell) over the construction sentinels, closing
 //     exactly via the shared expect_block_balance identity.
@@ -120,7 +122,9 @@ TYPED_TEST(BstTombstoneTest, LockstepOracleWithScans) {
         const auto got = bst.get(key, 0);
         const auto it = model.find(key);
         ASSERT_EQ(got.has_value(), it != model.end());
-        if (it != model.end()) ASSERT_EQ(*got, it->second);
+        if (it != model.end()) {
+          ASSERT_EQ(*got, it->second);
+        }
         break;
       }
       default: {
@@ -303,6 +307,94 @@ TYPED_TEST(BstTombstoneTest, ScanUnderChurnSeesStableKeysInOrder) {
   test::expect_block_balance(bst_ledger(tracker), final_keys.size(),
                              "scan-churn quiescent",
                              Bst<TypeParam>::kBlocksPerKey);
+}
+
+// ---- anchor-stack leaf walk under churn ----
+//
+// Scans walk leaf to leaf on a 3-deep anchor stack and fall back to a
+// root descent when it runs empty, on a dirty edge, and at every
+// kScanChunk session fence.  Stable keys (multiples of 3) are
+// interleaved with churned ones across ~2000 keys, so fences, anchor
+// drops and splices under live anchors all land mid-scan.  A
+// descending prefill builds a left spine (every internal node is a
+// left turn, so the stack overflows on every descent); a shuffled one
+// a random shape.
+
+TYPED_TEST(BstTombstoneTest, AnchorStackWalkUnderChurn) {
+  constexpr std::uint64_t kKeys = 2001;
+  constexpr std::size_t kStable = kKeys / 3;  // 0, 3, ..., 1998
+  // Values encode their key; the generation bits tell writes apart.
+  const auto encode = [](std::uint64_t k, std::uint64_t gen) {
+    return (k << 20) | (gen & 0xfffff);
+  };
+  for (const bool descending : {true, false}) {
+    SCOPED_TRACE(descending ? "descending prefill" : "shuffled prefill");
+    TypeParam tracker(this->cfg_);
+    Bst<TypeParam> bst(tracker);
+    std::vector<std::uint64_t> order(kKeys);
+    for (std::uint64_t k = 0; k < kKeys; ++k) order[k] = kKeys - 1 - k;
+    if (!descending) {
+      util::Xoshiro256 rng(0xa2c402);
+      for (std::size_t i = order.size() - 1; i > 0; --i)
+        std::swap(order[i], order[rng.next() % (i + 1)]);
+    }
+    for (const std::uint64_t k : order) ASSERT_TRUE(bst.insert(k, encode(k, 0), 0));
+    // Quiescent: the fallback descents a left spine forces are not
+    // restarts, and the walk sees every key.
+    ASSERT_EQ(bst.scan(0, kKeys, [](std::uint64_t, std::uint64_t) {}, 0), kKeys);
+    ASSERT_EQ(bst.scan_restarts(), 0u);
+
+    const unsigned per_thread = test_ops() / kThreads + 100;
+    std::atomic<unsigned> writers_done{0};
+    std::vector<std::thread> writers;
+    for (unsigned t = 0; t + 1 < kThreads; ++t) {
+      writers.emplace_back([&, t] {
+        util::Xoshiro256 rng(0xc4a1 + t);
+        for (unsigned i = 0; i < per_thread; ++i) {
+          std::uint64_t key = rng.next() % kKeys;
+          if (key % 3 == 0) ++key;  // churn never touches a stable key
+          if (rng.next() % 3 != 0)
+            bst.remove(key, t);
+          else
+            bst.put(key, encode(key, i + 1), t);
+        }
+        writers_done.fetch_add(1, std::memory_order_release);
+      });
+    }
+    std::thread scanner([&] {
+      const unsigned tid = kThreads - 1;
+      // At least two scans, more while the writers still run.
+      for (unsigned n = 0;
+           n < 2 || writers_done.load(std::memory_order_acquire) + 1 < kThreads;
+           ++n) {
+        std::vector<std::uint64_t> keys;
+        bst.scan(0, kKeys, [&](std::uint64_t k, std::uint64_t v) {
+          keys.push_back(k);
+          ASSERT_EQ(v >> 20, k) << "value " << v << " under key " << k;
+        }, tid);
+        for (std::size_t i = 1; i < keys.size(); ++i)
+          ASSERT_LT(keys[i - 1], keys[i]) << "not strictly ascending";
+        std::size_t stable_seen = 0;
+        for (const std::uint64_t k : keys) stable_seen += k % 3 == 0;
+        ASSERT_EQ(stable_seen, kStable);
+      }
+    });
+    for (auto& th : writers) th.join();
+    scanner.join();
+    // Quiescent again: no dirty edge is left, so no restarts; the
+    // ordered view matches point lookups; the ledger closes.
+    const std::uint64_t restarts = bst.scan_restarts();
+    std::vector<std::uint64_t> final_keys;
+    bst.scan(0, kKeys, [&](std::uint64_t k, std::uint64_t) {
+      final_keys.push_back(k);
+    }, 0);
+    EXPECT_EQ(bst.scan_restarts(), restarts);
+    EXPECT_EQ(final_keys.size(), bst.size_unsafe());
+    for (const std::uint64_t k : final_keys) EXPECT_TRUE(bst.get(k, 0).has_value());
+    test::expect_block_balance(bst_ledger(tracker), final_keys.size(),
+                               "anchor-walk quiescent",
+                               Bst<TypeParam>::kBlocksPerKey);
+  }
 }
 
 // ---- in-place upsert vs the legacy copy path ----

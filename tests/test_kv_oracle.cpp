@@ -393,7 +393,9 @@ void run_oracle(bool in_place, bool with_resize) {
   // batched_ops is a per-table counter: in resize mode the final table
   // may have been created after the last multi-op ran, so only the
   // fixed-geometry runs can demand it ticked.
-  if (in_place && !with_resize) EXPECT_GT(tot.batched_ops, 0u);
+  if (in_place && !with_resize) {
+    EXPECT_GT(tot.batched_ops, 0u);
+  }
   if (with_resize) {
     for (const kv::ResizeRecord& r : st.resizes) {
       EXPECT_EQ(r.cells_retired, r.migrated_keys);
@@ -430,6 +432,27 @@ TYPED_TEST(KvOracleTest, InPlaceUpsertsMatchOracleAcrossResize) {
 
 TYPED_TEST(KvOracleTest, CopyUpsertsMatchOracleAcrossResize) {
   run_oracle<TypeParam>(/*in_place=*/false, /*with_resize=*/true);
+}
+
+// Scans look each index chunk up in the primary as one batch, so a
+// bounded range_get must size its chunks by the visits it still owes,
+// not by the 128-key chunk: max = 5 does at most 5 primary lookups.
+TYPED_TEST(KvOracleTest, RangeGetMaxBoundsPrimaryLookups) {
+  Store<TypeParam> store(oracle_cfg<TypeParam>());
+  for (std::uint64_t k = 1; k <= 600; ++k) ASSERT_TRUE(store.insert(k, 3 * k, 0));
+  const std::uint64_t gets_before = store.stats().total().gets;
+  std::pair<std::uint64_t, std::uint64_t> out[5];
+  ASSERT_EQ(store.range_get(100, 600, out, 5, 0), 5u);
+  EXPECT_LE(store.stats().total().gets - gets_before, 5u);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(out[i].first, 100 + i);
+    EXPECT_EQ(out[i].second, 3 * (100 + i));
+  }
+  // Fewer keys in the window than max: all of them, still ascending.
+  ASSERT_EQ(store.range_get(598, 5000, out, 5, 0), 3u);
+  EXPECT_EQ(out[0].first, 598u);
+  EXPECT_EQ(out[2].first, 600u);
+  EXPECT_EQ(store.range_get(1, 600, out, 0, 0), 0u);
 }
 
 }  // namespace
