@@ -99,7 +99,6 @@
 #include <vector>
 
 #include "reclaim/tracker.hpp"
-#include "util/cacheline.hpp"
 #include "util/marked_ptr.hpp"
 
 namespace wfe::ds {
@@ -814,7 +813,7 @@ class HmList {
   }
 
   Tracker& tracker_;
-  alignas(util::kFalseSharingRange) std::atomic<std::uintptr_t> head_{0};
+  std::atomic<std::uintptr_t> head_{0};
 };
 
 }  // namespace wfe::ds

@@ -8,11 +8,14 @@
 // yet *retired* — its retire_era is stamped only when the burst is
 // flushed.  Era/epoch schemes therefore see a LATER retire_era, i.e. a
 // longer perceived lifespan, which is strictly conservative; pointer
-// schemes (HP) simply scan it later.  What batching buys is amortization
-// of the per-retire bookkeeping the paper's schemes all share: the
-// cleanup_freq counter ticks (and the O(threads x slots) scans it
-// triggers) run once per burst instead of once per unlink, which is the
-// dominant retire-side cost at high thread counts.
+// schemes (HP) simply scan it later.  Batching does NOT save scans:
+// flush() hands the burst over one block at a time through the inner
+// tracker's retire(), which ticks its cleanup_freq counter per block, so
+// the O(threads x slots) scans fire exactly as often as without the
+// adapter.  What it does is defer and group: unlinked blocks wait here
+// (invisible to the inner tracker's scans) until a burst of
+// `retire_batch` fills, then enter the inner retire list in one tight
+// loop.  The deferral is what the durability gate below relies on.
 //
 // The adapter satisfies `tracker_for`, so the Harris-Michael buckets
 // instantiate over it unchanged.  Each kv shard owns one inner tracker

@@ -108,6 +108,37 @@ TYPED_TEST(HashMapTest, ConcurrentMixedWorkload) {
   EXPECT_EQ(static_cast<std::size_t>(balance.load()), map.size_unsafe());
 }
 
+// Bucket teardown ledger: the inline buckets are destroyed in place, and
+// each must free its live nodes and their current cells exactly once.
+// After the map is gone, every block still allocated must be one a
+// remover or replacing put retired (the tracker frees those later).
+TYPED_TEST(HashMapTest, TeardownFreesEveryLiveBlockOnce) {
+  TypeParam tracker(this->cfg_);
+  {
+    ds::HashMap<std::uint64_t, std::uint64_t, TypeParam> map(tracker, 4096);
+    ASSERT_EQ(map.bucket_count(), 4096u);
+    util::Xoshiro256 rng(4096);
+    for (int i = 0; i < 30000; ++i) {
+      const std::uint64_t k = rng.next_bounded(8192) + 1;
+      switch (rng.next_bounded(4)) {
+        case 0:
+          map.insert(k, i, 0);
+          break;
+        case 1:
+        case 2:
+          map.put(k, i, 0);
+          break;
+        case 3:
+          map.remove(k, 0);
+          break;
+      }
+    }
+    ASSERT_GT(map.size_unsafe(), 1000u);  // live keys left for teardown
+    ASSERT_GT(tracker.retired(), map.size_unsafe());  // replaced cells too
+  }
+  EXPECT_EQ(tracker.allocated() - tracker.freed(), tracker.unreclaimed());
+}
+
 // Model check (WFE tracker) with a parameterized bucket-count sweep: the
 // map must behave identically whatever the bucket geometry.
 class HashMapModelTest : public ::testing::TestWithParam<int> {};
