@@ -201,12 +201,12 @@ struct KvConfig {
   /// space in its own tracker domain): enables scan(lo, hi)/range_get
   /// ordered range reads.  Requires unsigned 64-bit keys no larger than
   /// the BST's kMaxKey.  Geometry-independent — resharding never
-  /// touches it.  Writes pay one extra index op per key written, not
-  /// only on insert/remove transitions: every put-style write (put,
-  /// put_copy, multi_put, txn put) adds the key even when it replaced a
-  /// value (a no-op BST insert), insert adds it only when it inserted,
-  /// every remove drops it, update never touches it.  Values are never
-  /// duplicated (scans fetch them from the primary table).
+  /// touches it.  Writes pay an index op only when they change
+  /// membership: put, multi_put, insert and txn puts add the key only
+  /// for keys they found absent, put_copy always adds it (it installs a
+  /// fresh node), every remove drops it, and in-place replaces, update
+  /// and cas never touch it.  Values are never duplicated (scans fetch
+  /// them from the primary table).
   bool ordered_index = false;
 };
 
@@ -355,8 +355,10 @@ class KvStore {
       while (!shard_in(*t, key).try_put(key, value, tid, was_absent))
         t = wait_forward(*t, key, tid);
     }
-    index_add(key, tid);
-    if (was_absent) counters_.inc(kNetInserts, tid);
+    if (was_absent) {
+      index_add(key, tid);  // a replace in place leaves membership alone
+      counters_.inc(kNetInserts, tid);
+    }
     maybe_auto_grow(tid);
     maybe_auto_snapshot(tid);
     // End-to-end: an auto-grow or auto-snapshot this write drove is part
@@ -379,6 +381,10 @@ class KvStore {
       while (!shard_in(*t, key).try_put_copy(key, value, tid, saw_present))
         t = wait_forward(*t, key, tid);
     }
+    // Unconditional, unlike put(): the copy path ends with an insert of
+    // a fresh node even when it saw the key, and its own erase of the
+    // old node dropped no index entry, so this write is the one that
+    // made the key present (see the membership hooks).
     index_add(key, tid);
     if (!saw_present) counters_.inc(kNetInserts, tid);
     maybe_auto_grow(tid);
@@ -483,16 +489,18 @@ class KvStore {
   }
 
   /// In-place upserts for ops[0..n); returns how many keys were newly
-  /// inserted.  Duplicate keys within one batch are applied in shard
-  /// grouping order, not positional order — callers that care about
-  /// intra-batch overwrite order must not repeat keys in a batch.
+  /// inserted (only those are added to the ordered index).  Duplicate
+  /// keys within one batch are applied in shard grouping order, not
+  /// positional order — callers that care about intra-batch overwrite
+  /// order must not repeat keys in a batch.
   std::size_t multi_put(const std::pair<K, V>* ops, std::size_t n,
                         unsigned tid) {
     if (n == 0) return 0;
     const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
     obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
     gate_write(n);
-    std::size_t inserted = 0;
+    static thread_local std::vector<std::uint32_t> added;
+    added.clear();
     {
       TableGuard g(*this, tid);
       Table* t = g.table;
@@ -510,8 +518,8 @@ class KvStore {
           const std::size_t b = s == 0 ? 0 : plan.start[s - 1],
                             e = plan.start[s];
           if (b != e)
-            inserted += t->shards[s]->multi_put(ops, plan.order.data() + b,
-                                                e - b, tid, defer);
+            t->shards[s]->multi_put(ops, plan.order.data() + b, e - b, tid,
+                                    defer, added);
         }
         if (defer.empty()) break;
         t = wait_forward_all(
@@ -523,7 +531,8 @@ class KvStore {
       }
     }
     if (index_)
-      for (std::size_t i = 0; i < n; ++i) index_add(ops[i].first, tid);
+      for (const std::uint32_t i : added) index_add(ops[i].first, tid);
+    const std::size_t inserted = added.size();
     counters_.inc(kNetInserts, tid, inserted);
     maybe_auto_grow(tid);
     maybe_auto_snapshot(tid);
@@ -597,13 +606,16 @@ class KvStore {
   // fetched from the primary table through the multi_get core (one
   // tracker session per shard), so a scan never reads a value the
   // primary doesn't currently hold.  Keys present in the primary for
-  // the whole scan are visited exactly once; concurrently
-  // inserted/removed keys may or may not appear.  A stale index entry
-  // (possible only transiently, from a cross-thread put/remove race on
-  // one key) misses its primary lookup and is skipped.  Between chunks
-  // the scan holds no reservation (the cursor is a key, not a pointer)
-  // and beats the liveness watchdog, so arbitrarily wide scans neither
-  // pin reclamation nor false-positive as stalls. ----
+  // the whole scan, and whose insert returned before it began, are
+  // visited exactly once; concurrently inserted/removed keys may or may
+  // not appear, and so may a key whose insert is still in flight even
+  // if another thread's in-place put of it has returned (see the
+  // membership hooks).  A stale index entry (left by a cross-thread
+  // insert/remove race on one key) misses its primary lookup and is
+  // skipped.  Between chunks the scan holds no reservation (the cursor
+  // is a key, not a pointer) and beats the liveness watchdog, so
+  // arbitrarily wide scans neither pin reclamation nor false-positive
+  // as stalls. ----
 
   /// Visit every pair with lo <= key <= hi in ascending key order:
   /// fn(key, value).  Returns the number of keys visited.
@@ -646,14 +658,17 @@ class KvStore {
     gate_write(tops.size());
     const std::uint64_t id = 1 + txn_seq_.fetch_add(1, std::memory_order_relaxed);
     // Index maintenance brackets the install like the point ops: drops
-    // first, adds after.  Index membership is per key, not per txn —
+    // first, adds after — and only for the puts that found their key
+    // absent, as for put().  Index membership is per key, not per txn —
     // crash atomicity is the primary table's concern (the index is
     // rebuilt from replay), so a commit torn across the brackets is fine.
     if (index_)
       for (const auto& op : tops)
         if (op.is_remove) index_drop(op.key, tid);
     std::uint64_t total_pairs = 0;
-    std::size_t inserted = 0, removed = 0;
+    std::size_t removed = 0;
+    static thread_local std::vector<std::uint32_t> added;
+    added.clear();
     std::uint64_t commit_lsn = 0;
     persist::ShardWal* commit_wal = nullptr;
     // (wal, last pair LSN) per shard touched: the commit-time ack set.
@@ -683,9 +698,9 @@ class KvStore {
                               e = plan.start[s];
             if (b == e) continue;
             const auto r = t->shards[s]->txn_apply(
-                tops.data(), plan.order.data() + b, e - b, id, tid, defer);
+                tops.data(), plan.order.data() + b, e - b, id, tid, defer,
+                added);
             total_pairs += r.pairs;
-            inserted += r.inserted;
             removed += r.removed;
             if (r.last_lsn != 0)
               acks.emplace_back(t->shards[s]->wal(), r.last_lsn);
@@ -713,9 +728,8 @@ class KvStore {
       if (commit_wal != nullptr) commit_wal->ack(commit_lsn);
     }
     if (index_)
-      for (const auto& op : tops)
-        if (!op.is_remove) index_add(op.key, tid);
-    counters_.inc(kNetInserts, tid, inserted);
+      for (const std::uint32_t i : added) index_add(tops[i].key, tid);
+    counters_.inc(kNetInserts, tid, added.size());
     counters_.inc(kNetRemoves, tid, removed);
     counters_.inc(kTxnCommits, tid);
     maybe_auto_grow(tid);
@@ -1238,15 +1252,36 @@ class KvStore {
     return static_cast<std::uint64_t>(key);
   }
 
-  /// Membership hooks.  Mutators keep a per-thread program-order
-  /// contract: put/insert add the index entry AFTER the primary install
-  /// (a scan after the call returns sees the key), remove drops it
-  /// BEFORE the primary erase (a scan after the call returns does not).
-  /// Cross-thread races on one key can strand a STALE entry — index key
-  /// with no primary pair — which scans skip (primary miss) and which
-  /// the key's next insert/remove cycle reuses or drops; stale entries
-  /// are never purged from the scan path, because a purge can race a
-  /// concurrent re-insert's index_add and delete a live entry.
+  /// Membership hooks.  Only a write that made its key present calls
+  /// index_add, AFTER its primary install (put/multi_put/txn puts that
+  /// found the key absent, insert when it inserted, every put_copy);
+  /// every remover calls index_drop BEFORE its primary erase.  Why no
+  /// live key is missed at quiescence:
+  ///  - an in-place replace (put, update, cas) succeeds only by CAS on
+  ///    an unmarked value cell, so the key was present at that instant:
+  ///    some write made it present, and that write adds the entry after
+  ///    its install;
+  ///  - a key present at quiescence has been present ever since the
+  ///    install of the write W that last made it present (migration
+  ///    moves a pair without ending its presence), and W's index_add
+  ///    came after that install;
+  ///  - a drop after W's add belongs to a remover whose primary erase
+  ///    comes later still, so it would erase the key and end W's
+  ///    presence — none exists, so W's entry is the key's last index op.
+  /// put_copy is why that rule is "made present", not "was absent": its
+  /// remove half erases the key WITHOUT dropping the entry, so it must
+  /// add it back even when it saw the key (else: W adds, a remover
+  /// drops, put_copy erases and re-inserts, the remover's erase misses,
+  /// and the key is live but unindexed).
+  /// The index may therefore hold STALE entries — index key with no
+  /// primary pair — which scans skip (primary miss) and which the key's
+  /// next insert/remove cycle reuses or drops; stale entries are never
+  /// purged from the scan path, because a purge can race a concurrent
+  /// re-insert's index_add and delete a live entry.  What a caller can
+  /// see: a key shows in scans once the write that made it present has
+  /// returned.  While another thread's insert of k is in flight, a
+  /// completed in-place put of k (or update, or cas) may not show in
+  /// scans until that insert adds the entry.
   void index_add(const K& key, unsigned tid) {
     if (index_) index_->tree.insert(index_key(key), 1, tid);
   }

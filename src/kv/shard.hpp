@@ -224,12 +224,14 @@ class Shard {
     ops_.inc(kBatched, tid, done);
   }
 
-  /// In-place upserts for this shard's slice; returns how many keys were
-  /// newly inserted (the rest were replaced in place, minus deferrals).
-  std::size_t multi_put(const std::pair<K, V>* ops, const std::uint32_t* idx,
-                        std::size_t n, unsigned tid,
-                        std::vector<std::uint32_t>& deferred) {
-    std::size_t inserted = 0, done = 0;
+  /// In-place upserts for this shard's slice.  The position of every
+  /// key that was absent (and is now inserted) is appended to
+  /// `inserted`; the rest were replaced in place, minus deferrals.
+  void multi_put(const std::pair<K, V>* ops, const std::uint32_t* idx,
+                 std::size_t n, unsigned tid,
+                 std::vector<std::uint32_t>& deferred,
+                 std::vector<std::uint32_t>& inserted) {
+    std::size_t replaced = 0, done = 0;
     std::uint64_t last_lsn = 0;
     batched_.begin_op(tid);
     for (std::size_t i = 0; i < n; ++i) {
@@ -238,7 +240,10 @@ class Shard {
       if (map_.try_put_in_op(k, v, tid, was_absent)) {
         last_lsn = log_put_deferred(k, v);
         ++done;
-        if (was_absent) ++inserted;
+        if (was_absent)
+          inserted.push_back(idx[i]);
+        else
+          ++replaced;
       } else {
         deferred.push_back(idx[i]);
       }
@@ -247,8 +252,7 @@ class Shard {
     ack_log(last_lsn);  // one durability wait for the whole group
     ops_.inc(kPut, tid, done);
     ops_.inc(kBatched, tid, done);
-    ops_.inc(kCellRetire, tid, done - inserted);
-    return inserted;
+    ops_.inc(kCellRetire, tid, replaced);
   }
 
   /// Removes for this shard's slice; out[idx[i]] receives the removed
@@ -292,10 +296,10 @@ class Shard {
   /// so this header stays independent of src/txn/.  `last_lsn` reports
   /// the newest pair's durability point for the store's commit-time
   /// ack; `deferred` collects frozen-bucket positions for re-dispatch
+  /// and `inserted` the positions of upserts that found the key absent,
   /// exactly like multi_put.
   struct TxnSlice {
     std::size_t pairs = 0;     ///< intent pairs appended (= effects)
-    std::size_t inserted = 0;  ///< upserts that found the key absent
     std::size_t removed = 0;   ///< removes that found the key present
     std::uint64_t last_lsn = 0;  ///< newest pair's payload LSN (ack point)
   };
@@ -303,7 +307,8 @@ class Shard {
   template <class Op>
   TxnSlice txn_apply(const Op* ops, const std::uint32_t* idx, std::size_t n,
                      std::uint64_t txn_id, unsigned tid,
-                     std::vector<std::uint32_t>& deferred) {
+                     std::vector<std::uint32_t>& deferred,
+                     std::vector<std::uint32_t>& inserted) {
     TxnSlice r;
     std::size_t done = 0, replaced = 0;
     batched_.begin_op(tid);
@@ -327,7 +332,7 @@ class Shard {
         }
         ++done;
         if (was_absent)
-          ++r.inserted;
+          inserted.push_back(idx[i]);
         else
           ++replaced;
         r.last_lsn = log_txn_pair(txn_id, /*is_remove=*/false, op.key, op.value);

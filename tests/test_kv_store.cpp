@@ -1,12 +1,15 @@
 // Sharded kv store: contract, shard routing/distribution, stats
-// accounting, batched retirement, and the concurrent sweep across every
-// reclamation scheme at 8 threads (acceptance gate for the kv engine).
+// accounting, batched retirement, the concurrent sweep across every
+// reclamation scheme at 8 threads (acceptance gate for the kv engine),
+// and ordered-index membership under racing writers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -216,6 +219,101 @@ TYPED_TEST(KvStoreTest, ConcurrentSweep8Threads) {
   // Store destroyed: every shard drained its domain — nothing leaks
   // (verified inside the tracker destructors via drain_all_unsafe; a
   // Leak tracker keeps blocks by design and is exercised for API only).
+}
+
+// Ordered-index membership under racing writers.  Only writes that make
+// a key present add its index entry (a put that replaces a value in
+// place skips the BST insert), and every remover drops the entry before
+// its primary erase.  So once the writers are quiescent, no live key may
+// be missing from the index: a scan must return exactly the primary's
+// contents (stale index entries are skipped by the scan's primary
+// lookup), and the index domain's ledger must close on at least one
+// 3-block entry (leaf + internal + value cell) per live key.  A later
+// race on a key can re-add an entry an earlier race lost, so the check
+// runs after each of many short rounds, not once after a long one.
+TYPED_TEST(KvStoreTest, OrderedIndexCoversLiveKeysAfterRacingWrites) {
+  constexpr unsigned kThreads = 4;
+  constexpr int kRounds = 25, kOpsPerRound = 400;
+  constexpr std::uint64_t kHotKeys = 64;
+  auto cfg = small_cfg<TypeParam>(kThreads, 4);
+  cfg.ordered_index = true;
+  Store<TypeParam> store(cfg);
+  std::size_t live_seen = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::atomic<unsigned> ready{0};
+    std::vector<std::thread> threads;
+    for (unsigned tid = 0; tid < kThreads; ++tid) {
+      threads.emplace_back([&, tid] {
+        util::Xoshiro256 rng(round * kThreads + tid + 131);
+        const auto key = [&] { return rng.next_bounded(kHotKeys) + 1; };
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        for (int i = 0; i < kOpsPerRound; ++i) {
+          const std::uint64_t k = key(), v = rng.next();
+          switch (rng.next_bounded(8)) {
+            case 0:
+            case 1:
+              store.put(k, v, tid);
+              break;
+            case 2:
+              store.insert(k, v, tid);
+              break;
+            case 3:
+              store.update(k, v, tid);
+              break;
+            case 4:
+              store.remove(k, tid);
+              break;
+            case 5: {
+              const std::uint64_t base = key();
+              std::vector<std::pair<std::uint64_t, std::uint64_t>> batch;
+              for (std::uint64_t j = 0; j < 4; ++j)
+                batch.emplace_back((base + j) % kHotKeys + 1, v + j);
+              store.multi_put(batch, tid);
+              break;
+            }
+            case 6: {
+              // Put and remove of the same key in one txn: the buffer
+              // keeps each key's last op, so `a` commits as a remove
+              // and `b` as a put.
+              const std::uint64_t a = k, b = k % kHotKeys + 1;
+              txn::Txn<std::uint64_t, std::uint64_t> txn;
+              txn.put(a, v);
+              txn.remove(a);
+              txn.remove(b);
+              txn.put(b, v);
+              store.txn_commit(txn, tid);
+              break;
+            }
+            case 7:
+              store.put_copy(k, v, tid);
+              break;
+          }
+        }
+        store.flush_retired(tid);
+      });
+    }
+    for (auto& t : threads) t.join();
+
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> primary, scanned;
+    store.for_each_unsafe([&](std::uint64_t k, std::uint64_t v) {
+      primary.emplace_back(k, v);
+    });
+    std::sort(primary.begin(), primary.end());
+    live_seen += primary.size();
+    store.scan(0, kHotKeys + 1, [&](std::uint64_t k, std::uint64_t v) {
+      scanned.emplace_back(k, v);
+    }, 0);
+    ASSERT_EQ(scanned, primary);
+
+    const kv::ShardStats ix = store.stats().index;
+    const std::uint64_t held =
+        ix.allocated - ix.freed - ix.pending_retired - ix.unreclaimed;
+    ASSERT_EQ(held % 3, 0u) << "held=" << held;
+    ASSERT_GE(held / 3, store.size_unsafe()) << "held=" << held;
+  }
+  EXPECT_GT(live_seen, 0u);
 }
 
 // Slow-path observability: forcing WFE's slow path through the shard

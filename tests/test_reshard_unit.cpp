@@ -287,13 +287,12 @@ TYPED_TEST(ReshardUnitTest, FrozenBucketForwards) {
   EXPECT_FALSE(shard.try_remove(key, kTid, out));
   bool saw_present = false;
   EXPECT_FALSE(shard.try_put_copy(key, 1, kTid, saw_present));
-  std::vector<std::uint32_t> deferred;
+  std::vector<std::uint32_t> deferred, inserted;
   const std::uint32_t idx0 = 0;
-  EXPECT_EQ(shard.multi_put(
-                std::vector<std::pair<std::uint64_t, std::uint64_t>>{{key, 1}}
-                    .data(),
-                &idx0, 1, kTid, deferred),
-            0u);
+  shard.multi_put(
+      std::vector<std::pair<std::uint64_t, std::uint64_t>>{{key, 1}}.data(),
+      &idx0, 1, kTid, deferred, inserted);
+  EXPECT_TRUE(inserted.empty());
   EXPECT_EQ(deferred.size(), 1u);
 
   // A key in a different, unfrozen bucket completes normally.
