@@ -1,13 +1,12 @@
 // Sharded kv-store throughput sweep: threads x shard counts x read
-// ratios x upsert paths x multi-op batch widths x reclamation schemes,
+// ratios x multi-op batch widths x reclamation schemes,
 // emitting BENCH_kv.json for the perf trajectory (util/json.hpp's
 // shared row format).
 //
 // This is the ROADMAP's production-workload probe: unlike the figure
 // benches (one structure, one domain) it exercises per-shard
 // reclamation domains, batched retirement, in-place value-cell upserts
-// against the remove+re-insert baseline, and cross-shard multi-op
-// sessions under mixed traffic.
+// and cross-shard multi-op sessions under mixed traffic.
 //
 // Environment knobs (shared names with the figure harness where the
 // meaning coincides):
@@ -19,11 +18,8 @@
 //   WFE_KV_SHARD_LIST      comma list of shard counts    (default "1,4,16")
 //   WFE_KV_READ_LIST       comma list of read percents   (default "50,90")
 //   WFE_KV_RETIRE_BATCH    per-thread retire burst size  (default 8)
-//   WFE_KV_UPSERT_LIST     comma list of upsert paths    (default "inplace,copy")
-//                          inplace = value-cell swap, copy = remove+insert
 //   WFE_KV_MBATCH_LIST     comma list of multi-op widths (default "1,16")
 //                          1 = single ops; >1 = multi_get/multi_put spans
-//                          (swept on the inplace path only)
 //   WFE_KV_RESIZE          0 disables the resize sweep   (default 1)
 //   WFE_KV_RESIZE_FROM     shard count before the resize (default 4)
 //   WFE_KV_RESIZE_TO       shard count after the resize  (default 16)
@@ -123,8 +119,8 @@
 //
 // The non-read half of the mix is ALWAYS an upsert over the full key
 // range, so at the default prefill (half the range) a write replaces a
-// present key about half the time: read_pct=50 is the "50%-update mix"
-// the in-place path must win on.
+// present key about half the time: read_pct=50 is the "50%-update
+// mix".
 
 #include <algorithm>
 #include <atomic>
@@ -203,7 +199,6 @@ struct Params {
   std::uint64_t prefill;
   std::uint64_t key_range;
   unsigned retire_batch;
-  bool inplace, copy;  // upsert paths to sweep
   bool resize;
   bool obs_overhead;
   unsigned resize_from, resize_to;
@@ -254,8 +249,7 @@ void emit_latency_cols(util::JsonWriter& j, const obs::RegistrySnapshot& snap,
 
 template <class TR>
 void run_one(const Params& pp, util::JsonWriter& j, unsigned nshards,
-             unsigned read_pct, unsigned nthreads, bool inplace,
-             unsigned mbatch) {
+             unsigned read_pct, unsigned nthreads, unsigned mbatch) {
   using Store = kv::KvStore<std::uint64_t, std::uint64_t, TR>;
   kv::KvConfig cfg;
   cfg.shards = nshards;
@@ -295,10 +289,8 @@ void run_one(const Params& pp, util::JsonWriter& j, unsigned nshards,
           const std::uint64_t k = rng.next_bounded(pp.key_range) + 1;
           if (rng.percent(read_pct)) {
             store.get(k, tid);
-          } else if (inplace) {
-            store.put(k, k, tid);
           } else {
-            store.put_copy(k, k, tid);
+            store.put(k, k, tid);
           }
           return;
         }
@@ -336,10 +328,10 @@ void run_one(const Params& pp, util::JsonWriter& j, unsigned nshards,
 
   const kv::ShardStats tot = store.stats().total();
   std::printf(
-      "%-8s shards=%-3zu read=%u%% threads=%-3u upsert=%-7s mbatch=%-3u "
+      "%-8s shards=%-3zu read=%u%% threads=%-3u mbatch=%-3u "
       "%8.3f Mops/s  unreclaimed(avg)=%.0f cell_retires=%llu slow_path=%llu\n",
-      TR::name(), eff_shards, read_pct, nthreads, inplace ? "inplace" : "copy",
-      mbatch, mops, r.avg_unreclaimed,
+      TR::name(), eff_shards, read_pct, nthreads, mbatch, mops,
+      r.avg_unreclaimed,
       static_cast<unsigned long long>(tot.value_cell_retires),
       static_cast<unsigned long long>(tot.slow_path_entries));
 
@@ -349,7 +341,7 @@ void run_one(const Params& pp, util::JsonWriter& j, unsigned nshards,
   j.kv("read_pct", read_pct);
   j.kv("threads", nthreads);
   j.kv("retire_batch", pp.retire_batch);
-  j.kv("upsert", inplace ? "inplace" : "copy");
+  j.kv("upsert", "inplace");
   j.kv("mbatch", mbatch);
   j.kv("mops", mops);
   j.kv("mops_stddev", mops_stddev);
@@ -369,7 +361,6 @@ void run_one(const Params& pp, util::JsonWriter& j, unsigned nshards,
   const obs::RegistrySnapshot snap = store.metrics()->registry.snapshot();
   if (mbatch <= 1) {
     emit_latency_cols(j, snap, "kv_op_get_ns", "get");
-    // Both upsert paths record end-to-end into the put histogram.
     emit_latency_cols(j, snap, "kv_op_put_ns", "put");
   } else {
     // One multi record covers a whole mbatch-key span.
@@ -1256,13 +1247,8 @@ void run_tracker(const Params& pp, util::JsonWriter& j) {
   for (unsigned nshards : pp.shards) {
     for (unsigned read_pct : pp.read_pcts) {
       for (unsigned nthreads : pp.threads) {
-        // Upsert-path sweep runs unbatched; the multi-op width sweep
-        // runs on the in-place path (multi_put is in-place by design).
-        if (pp.inplace)
-          for (unsigned mb : pp.mbatch)
-            run_one<TR>(pp, j, nshards, read_pct, nthreads, true, mb);
-        if (pp.copy)
-          run_one<TR>(pp, j, nshards, read_pct, nthreads, false, 1);
+        for (unsigned mb : pp.mbatch)
+          run_one<TR>(pp, j, nshards, read_pct, nthreads, mb);
       }
     }
   }
@@ -1327,8 +1313,6 @@ int main() {
   pp.shards = env_list("WFE_KV_SHARD_LIST", {1, 4, 16});
   pp.read_pcts = env_list("WFE_KV_READ_LIST", {50, 90});
   pp.mbatch = env_list("WFE_KV_MBATCH_LIST", {1, 16});
-  pp.inplace = env_has_word("WFE_KV_UPSERT_LIST", "inplace");
-  pp.copy = env_has_word("WFE_KV_UPSERT_LIST", "copy");
   pp.resize = harness::env_long("WFE_KV_RESIZE", 1) != 0;
   pp.obs_overhead = harness::env_long("WFE_KV_OBS", 1) != 0;
   pp.resize_from =
@@ -1366,7 +1350,7 @@ int main() {
   if (out_path == nullptr) out_path = "BENCH_kv.json";
 
   std::printf(
-      "=== kv throughput — shards x read-ratio x threads x upsert x mbatch ===\n");
+      "=== kv throughput — shards x read-ratio x threads x mbatch ===\n");
   std::printf("prefill=%llu key_range=%llu seconds=%.2f repeats=%u batch=%u\n",
               static_cast<unsigned long long>(pp.prefill),
               static_cast<unsigned long long>(pp.key_range), pp.seconds,

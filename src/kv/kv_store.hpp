@@ -203,10 +203,9 @@ struct KvConfig {
   /// the BST's kMaxKey.  Geometry-independent — resharding never
   /// touches it.  Writes pay an index op only when they change
   /// membership: put, multi_put, insert and txn puts add the key only
-  /// for keys they found absent, put_copy always adds it (it installs a
-  /// fresh node), every remove drops it, and in-place replaces, update
-  /// and cas never touch it.  Values are never duplicated (scans fetch
-  /// them from the primary table).
+  /// for keys they found absent, every remove drops it, and in-place
+  /// replaces, update and cas never touch it.  Values are never
+  /// duplicated (scans fetch them from the primary table).
   bool ordered_index = false;
 };
 
@@ -324,18 +323,11 @@ class KvStore {
   }
 
   std::optional<V> get(const K& key, unsigned tid) {
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_read();
-    std::optional<V> out;
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      while (!shard_in(*t, key).try_get(key, tid, out))
-        t = wait_forward(*t, key, tid);
-    }
-    if (metrics_ && mt0 != 0) record_op(obs::OpKind::kGet, metrics_->op_get, mt0, tid, key);
-    return out;
+    return run_op(obs::OpKind::kGet, /*writes=*/0, key, tid, [&] {
+      std::optional<V> out;
+      on_key(key, tid, [&](ShardT& s) { return s.try_get(key, tid, out); });
+      return out;
+    });
   }
 
   bool contains(const K& key, unsigned tid) {
@@ -345,116 +337,66 @@ class KvStore {
   /// Insert-or-replace, in place (atomic value-cell swap on present
   /// keys); true when the key was absent.
   bool put(const K& key, const V& value, unsigned tid) {
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write();
-    bool was_absent = false;
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      while (!shard_in(*t, key).try_put(key, value, tid, was_absent))
-        t = wait_forward(*t, key, tid);
-    }
-    if (was_absent) {
-      index_add(key, tid);  // a replace in place leaves membership alone
-      counters_.inc(kNetInserts, tid);
-    }
-    maybe_auto_grow(tid);
-    maybe_auto_snapshot(tid);
-    // End-to-end: an auto-grow or auto-snapshot this write drove is part
-    // of its observed latency (and tags its trace cause).
-    if (metrics_ && mt0 != 0) record_op(obs::OpKind::kPut, metrics_->op_put, mt0, tid, key);
-    return was_absent;
-  }
-
-  /// Remove+re-insert upsert: the pre-value-cell baseline, kept so the
-  /// bench can put a number on what in-place replacement saves.  The
-  /// "was absent" answer accumulates across forwarded tables.
-  bool put_copy(const K& key, const V& value, unsigned tid) {
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write();
-    bool saw_present = false;
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      while (!shard_in(*t, key).try_put_copy(key, value, tid, saw_present))
-        t = wait_forward(*t, key, tid);
-    }
-    // Unconditional, unlike put(): the copy path ends with an insert of
-    // a fresh node even when it saw the key, and its own erase of the
-    // old node dropped no index entry, so this write is the one that
-    // made the key present (see the membership hooks).
-    index_add(key, tid);
-    if (!saw_present) counters_.inc(kNetInserts, tid);
-    maybe_auto_grow(tid);
-    maybe_auto_snapshot(tid);
-    if (metrics_ && mt0 != 0) record_op(obs::OpKind::kPut, metrics_->op_put, mt0, tid, key);
-    return !saw_present;
+    return run_op(obs::OpKind::kPut, 1, key, tid, [&] {
+      bool was_absent = false;
+      on_key(key, tid, [&](ShardT& s) {
+        return s.try_put(key, value, tid, was_absent);
+      });
+      if (was_absent) {
+        index_add(key, tid);  // a replace in place leaves membership alone
+        counters_.inc(kNetInserts, tid);
+      }
+      // Inside the recorded latency: an auto-grow or auto-snapshot this
+      // write drove is part of its observed cost (and tags its trace
+      // cause).
+      maybe_auto_grow(tid);
+      maybe_auto_snapshot(tid);
+      return was_absent;
+    });
   }
 
   /// Insert-if-absent; false (no write) when present.
   bool insert(const K& key, const V& value, unsigned tid) {
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write();
-    bool inserted = false;
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      while (!shard_in(*t, key).try_insert(key, value, tid, inserted))
-        t = wait_forward(*t, key, tid);
-    }
-    if (inserted) {
-      index_add(key, tid);
-      counters_.inc(kNetInserts, tid);
-    }
-    maybe_auto_grow(tid);
-    maybe_auto_snapshot(tid);
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kInsert, metrics_->op_put, mt0, tid, key);
-    return inserted;
+    return run_op(obs::OpKind::kInsert, 1, key, tid, [&] {
+      bool inserted = false;
+      on_key(key, tid, [&](ShardT& s) {
+        return s.try_insert(key, value, tid, inserted);
+      });
+      if (inserted) {
+        index_add(key, tid);
+        counters_.inc(kNetInserts, tid);
+      }
+      maybe_auto_grow(tid);
+      maybe_auto_snapshot(tid);
+      return inserted;
+    });
   }
 
   /// Replace-if-present; false (no write) when absent.
   bool update(const K& key, const V& value, unsigned tid) {
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write();
-    bool updated = false;
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      while (!shard_in(*t, key).try_update(key, value, tid, updated))
-        t = wait_forward(*t, key, tid);
-    }
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kUpdate, metrics_->op_update, mt0, tid, key);
-    return updated;
+    return run_op(obs::OpKind::kUpdate, 1, key, tid, [&] {
+      bool updated = false;
+      on_key(key, tid, [&](ShardT& s) {
+        return s.try_update(key, value, tid, updated);
+      });
+      return updated;
+    });
   }
 
   std::optional<V> remove(const K& key, unsigned tid) {
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write();
-    // Index entry goes FIRST: dropping it after the primary remove could
-    // race a concurrent re-insert's index_add and delete the LIVE entry
-    // (primary key with no index entry — a key scans would never see).
-    // The other order's worst case is only a transient stale entry,
-    // which scans already self-heal (see index_add).
-    index_drop(key, tid);
-    std::optional<V> out;
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      while (!shard_in(*t, key).try_remove(key, tid, out))
-        t = wait_forward(*t, key, tid);
-    }
-    if (out.has_value()) counters_.inc(kNetRemoves, tid);
-    maybe_auto_snapshot(tid);  // removes append WAL bytes too
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kRemove, metrics_->op_remove, mt0, tid, key);
-    return out;
+    return run_op(obs::OpKind::kRemove, 1, key, tid, [&] {
+      // Index entry goes FIRST: dropping it after the primary remove
+      // could race a concurrent re-insert's index_add and delete the
+      // LIVE entry (primary key with no index entry — a key scans would
+      // never see).  The other order's worst case is only a transient
+      // stale entry, which scans already self-heal (see index_add).
+      index_drop(key, tid);
+      std::optional<V> out;
+      on_key(key, tid, [&](ShardT& s) { return s.try_remove(key, tid, out); });
+      if (out.has_value()) counters_.inc(kNetRemoves, tid);
+      maybe_auto_snapshot(tid);  // removes append WAL bytes too
+      return out;
+    });
   }
 
   // ---- cross-shard multi-ops: group a span of keys by shard with one
@@ -464,21 +406,17 @@ class KvStore {
   // Results land at the positions of their keys, so callers see plain
   // positional semantics.  Keys whose bucket is mid-migration are
   // deferred out of the session and re-dispatched — regrouped — against
-  // the forwarded table. ----
+  // the forwarded table (by_shard).  One latency record per batch
+  // (end-to-end); its trace shard is the first key's — a batch spans
+  // shards, attribution wants one anchor. ----
 
   /// Point lookups for keys[0..n); out[i] receives the result for
   /// keys[i].  Keys may repeat and may hit any mix of shards.
   void multi_get(const K* keys, std::size_t n, std::optional<V>* out,
                  unsigned tid) {
     if (n == 0) return;
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_read();
-    multi_get_core(keys, n, out, tid);
-    // One record per batch (end-to-end); the trace shard is the first
-    // key's — a batch spans shards, attribution wants one anchor.
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kMultiGet, metrics_->op_multi, mt0, tid, keys[0]);
+    run_op(obs::OpKind::kMultiGet, /*writes=*/0, keys[0], tid,
+           [&] { multi_get_core(keys, n, out, tid); });
   }
 
   std::vector<std::optional<V>> multi_get(const std::vector<K>& keys,
@@ -496,50 +434,27 @@ class KvStore {
   std::size_t multi_put(const std::pair<K, V>* ops, std::size_t n,
                         unsigned tid) {
     if (n == 0) return 0;
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write(n);
-    static thread_local std::vector<std::uint32_t> added;
-    added.clear();
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      static thread_local ShardPlan plan;  // scratch: reused across calls
-      static thread_local std::vector<std::uint32_t> pend, defer;
-      pend.resize(n);
-      for (std::size_t i = 0; i < n; ++i)
-        pend[i] = static_cast<std::uint32_t>(i);
-      for (;;) {
-        group_subset(plan, *t, pend, [&](std::uint32_t i) {
-          return shard_index_in(*t, ops[i].first);
-        });
-        defer.clear();
-        for (std::size_t s = 0; s <= t->mask; ++s) {
-          const std::size_t b = s == 0 ? 0 : plan.start[s - 1],
-                            e = plan.start[s];
-          if (b != e)
-            t->shards[s]->multi_put(ops, plan.order.data() + b, e - b, tid,
-                                    defer, added);
-        }
-        if (defer.empty()) break;
-        t = wait_forward_all(
-            *t, /*key_of=*/[&](std::uint32_t i) -> const K& {
-              return ops[i].first;
-            },
-            defer, tid);
-        pend.swap(defer);
+    return run_op(obs::OpKind::kMultiPut, n, ops[0].first, tid, [&] {
+      static thread_local std::vector<std::uint32_t> added;
+      added.clear();
+      {
+        TableGuard g(*this, tid);
+        by_shard(
+            g.table, n,
+            [&](std::uint32_t i) -> const K& { return ops[i].first; }, tid,
+            [&](ShardT& s, const std::uint32_t* idx, std::size_t m,
+                std::vector<std::uint32_t>& defer) {
+              s.multi_put(ops, idx, m, tid, defer, added);
+            });
       }
-    }
-    if (index_)
-      for (const std::uint32_t i : added) index_add(ops[i].first, tid);
-    const std::size_t inserted = added.size();
-    counters_.inc(kNetInserts, tid, inserted);
-    maybe_auto_grow(tid);
-    maybe_auto_snapshot(tid);
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kMultiPut, metrics_->op_multi, mt0, tid,
-                ops[0].first);
-    return inserted;
+      if (index_)
+        for (const std::uint32_t i : added) index_add(ops[i].first, tid);
+      const std::size_t inserted = added.size();
+      counters_.inc(kNetInserts, tid, inserted);
+      maybe_auto_grow(tid);
+      maybe_auto_snapshot(tid);
+      return inserted;
+    });
   }
 
   std::size_t multi_put(const std::vector<std::pair<K, V>>& ops, unsigned tid) {
@@ -553,44 +468,25 @@ class KvStore {
   std::size_t multi_remove(const K* keys, std::size_t n, std::optional<V>* out,
                            unsigned tid) {
     if (n == 0) return 0;
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write(n);
-    // Index-first for the same reason as remove().
-    if (index_)
-      for (std::size_t i = 0; i < n; ++i) index_drop(keys[i], tid);
-    std::size_t removed = 0;
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      static thread_local ShardPlan plan;  // scratch: reused across calls
-      static thread_local std::vector<std::uint32_t> pend, defer;
-      pend.resize(n);
-      for (std::size_t i = 0; i < n; ++i)
-        pend[i] = static_cast<std::uint32_t>(i);
-      for (;;) {
-        group_subset(plan, *t, pend, [&](std::uint32_t i) {
-          return shard_index_in(*t, keys[i]);
-        });
-        defer.clear();
-        for (std::size_t s = 0; s <= t->mask; ++s) {
-          const std::size_t b = s == 0 ? 0 : plan.start[s - 1],
-                            e = plan.start[s];
-          if (b != e)
-            removed += t->shards[s]->multi_remove(keys, plan.order.data() + b,
-                                                  e - b, out, tid, defer);
-        }
-        if (defer.empty()) break;
-        t = wait_forward_all(*t, keys, defer, tid);
-        pend.swap(defer);
+    return run_op(obs::OpKind::kMultiRemove, n, keys[0], tid, [&] {
+      // Index-first for the same reason as remove().
+      if (index_)
+        for (std::size_t i = 0; i < n; ++i) index_drop(keys[i], tid);
+      std::size_t removed = 0;
+      {
+        TableGuard g(*this, tid);
+        by_shard(
+            g.table, n, [&](std::uint32_t i) -> const K& { return keys[i]; },
+            tid,
+            [&](ShardT& s, const std::uint32_t* idx, std::size_t m,
+                std::vector<std::uint32_t>& defer) {
+              removed += s.multi_remove(keys, idx, m, out, tid, defer);
+            });
       }
-    }
-    counters_.inc(kNetRemoves, tid, removed);
-    maybe_auto_snapshot(tid);  // removes append WAL bytes too
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kMultiRemove, metrics_->op_multi, mt0, tid,
-                keys[0]);
-    return removed;
+      counters_.inc(kNetRemoves, tid, removed);
+      maybe_auto_snapshot(tid);  // removes append WAL bytes too
+      return removed;
+    });
   }
 
   std::vector<std::optional<V>> multi_remove(const std::vector<K>& keys,
@@ -653,91 +549,69 @@ class KvStore {
   std::uint64_t txn_commit(const txn::Txn<K, V>& txn, unsigned tid) {
     const auto& tops = txn.ops();
     if (tops.empty()) return 0;
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write(tops.size());
-    const std::uint64_t id = 1 + txn_seq_.fetch_add(1, std::memory_order_relaxed);
-    // Index maintenance brackets the install like the point ops: drops
-    // first, adds after — and only for the puts that found their key
-    // absent, as for put().  Index membership is per key, not per txn —
-    // crash atomicity is the primary table's concern (the index is
-    // rebuilt from replay), so a commit torn across the brackets is fine.
-    if (index_)
-      for (const auto& op : tops)
-        if (op.is_remove) index_drop(op.key, tid);
-    std::uint64_t total_pairs = 0;
-    std::size_t removed = 0;
-    static thread_local std::vector<std::uint32_t> added;
-    added.clear();
-    std::uint64_t commit_lsn = 0;
-    persist::ShardWal* commit_wal = nullptr;
-    // (wal, last pair LSN) per shard touched: the commit-time ack set.
-    static thread_local std::vector<
-        std::pair<persist::ShardWal*, std::uint64_t>> acks;
-    acks.clear();
-    {
-      TableGuard g(*this, tid);
+    return run_op(obs::OpKind::kMultiPut, tops.size(), tops[0].key, tid, [&] {
+      const std::uint64_t id =
+          1 + txn_seq_.fetch_add(1, std::memory_order_relaxed);
+      // Index maintenance brackets the install like the point ops: drops
+      // first, adds after — and only for the puts that found their key
+      // absent, as for put().  Index membership is per key, not per txn
+      // — crash atomicity is the primary table's concern (the index is
+      // rebuilt from replay), so a commit torn across the brackets is
+      // fine.
+      if (index_)
+        for (const auto& op : tops)
+          if (op.is_remove) index_drop(op.key, tid);
+      std::uint64_t total_pairs = 0;
+      std::size_t removed = 0;
+      static thread_local std::vector<std::uint32_t> added;
+      added.clear();
+      std::uint64_t commit_lsn = 0;
+      persist::ShardWal* commit_wal = nullptr;
+      // (wal, last pair LSN) per shard touched: the commit-time ack set.
+      static thread_local std::vector<
+          std::pair<persist::ShardWal*, std::uint64_t>> acks;
+      acks.clear();
       {
-        // Shared against the snapshot's exclusive mark+dump window (see
-        // the file header): released before the durability waits below —
-        // appends are what the barrier orders, not fsyncs.
-        std::shared_lock<std::shared_mutex> sl(txn_mu_);
-        Table* t = g.table;
-        static thread_local ShardPlan plan;  // scratch: reused across calls
-        static thread_local std::vector<std::uint32_t> pend, defer;
-        pend.resize(tops.size());
-        for (std::size_t i = 0; i < tops.size(); ++i)
-          pend[i] = static_cast<std::uint32_t>(i);
-        for (;;) {
-          group_subset(plan, *t, pend, [&](std::uint32_t i) {
-            return shard_index_in(*t, tops[i].key);
-          });
-          defer.clear();
-          for (std::size_t s = 0; s <= t->mask; ++s) {
-            const std::size_t b = s == 0 ? 0 : plan.start[s - 1],
-                              e = plan.start[s];
-            if (b == e) continue;
-            const auto r = t->shards[s]->txn_apply(
-                tops.data(), plan.order.data() + b, e - b, id, tid, defer,
-                added);
-            total_pairs += r.pairs;
-            removed += r.removed;
-            if (r.last_lsn != 0)
-              acks.emplace_back(t->shards[s]->wal(), r.last_lsn);
+        TableGuard g(*this, tid);
+        {
+          // Shared against the snapshot's exclusive mark+dump window (see
+          // the file header): released before the durability waits below
+          // — appends are what the barrier orders, not fsyncs.
+          std::shared_lock<std::shared_mutex> sl(txn_mu_);
+          Table* t = by_shard(
+              g.table, tops.size(),
+              [&](std::uint32_t i) -> const K& { return tops[i].key; }, tid,
+              [&](ShardT& s, const std::uint32_t* idx, std::size_t m,
+                  std::vector<std::uint32_t>& defer) {
+                const auto r =
+                    s.txn_apply(tops.data(), idx, m, id, tid, defer, added);
+                total_pairs += r.pairs;
+                removed += r.removed;
+                if (r.last_lsn != 0) acks.emplace_back(s.wal(), r.last_lsn);
+              });
+          // COMMIT on the final table's stream 0 (the same stream the
+          // resize brackets use): recovery scans every stream, so "which
+          // one" only has to be deterministic per table, not per key.
+          if (!t->wals.empty()) {
+            commit_wal = t->wals[0].get();
+            commit_lsn = commit_wal->append(persist::RecordType::kTxnCommit,
+                                            id, total_pairs);
           }
-          if (defer.empty()) break;
-          t = wait_forward_all(
-              *t, /*key_of=*/[&](std::uint32_t i) -> const K& {
-                return tops[i].key;
-              },
-              defer, tid);
-          pend.swap(defer);
         }
-        // COMMIT on the final table's stream 0 (the same stream the
-        // resize brackets use): recovery scans every stream, so "which
-        // one" only has to be deterministic per table, not per key.
-        if (!t->wals.empty()) {
-          commit_wal = t->wals[0].get();
-          commit_lsn = commit_wal->append(persist::RecordType::kTxnCommit, id,
-                                          total_pairs);
-        }
+        // Durability acks under the table announcement (the streams live
+        // in tables the guard keeps alive) but outside txn_mu_.
+        for (const auto& [w, lsn] : acks) w->ack(lsn);
+        if (commit_wal != nullptr) commit_wal->ack(commit_lsn);
       }
-      // Durability acks under the table announcement (the streams live in
-      // tables the guard keeps alive) but outside txn_mu_.
-      for (const auto& [w, lsn] : acks) w->ack(lsn);
-      if (commit_wal != nullptr) commit_wal->ack(commit_lsn);
-    }
-    if (index_)
-      for (const std::uint32_t i : added) index_add(tops[i].key, tid);
-    counters_.inc(kNetInserts, tid, added.size());
-    counters_.inc(kNetRemoves, tid, removed);
-    counters_.inc(kTxnCommits, tid);
-    maybe_auto_grow(tid);
-    maybe_auto_snapshot(tid);
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kMultiPut, metrics_->op_multi, mt0, tid,
-                tops[0].key);
-    return id;
+      if (index_)
+        for (const std::uint32_t i : added) index_add(tops[i].key, tid);
+      counters_.inc(kNetInserts, tid, added.size());
+      counters_.inc(kNetRemoves, tid, removed);
+      counters_.inc(kTxnCommits, tid);
+      maybe_auto_grow(tid);
+      maybe_auto_snapshot(tid);
+      return id;
+    });
   }
 
   /// Single-key compare-and-swap, the degenerate transaction: installs
@@ -745,20 +619,14 @@ class KvStore {
   /// swap; false (and NO write, NO cell retired) on absent key or value
   /// mismatch.
   bool cas(const K& key, const V& expected, const V& desired, unsigned tid) {
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_write();
-    bool swapped = false;
-    {
-      TableGuard g(*this, tid);
-      Table* t = g.table;
-      while (!shard_in(*t, key).try_cas(key, expected, desired, tid, swapped))
-        t = wait_forward(*t, key, tid);
-    }
-    maybe_auto_snapshot(tid);  // a swap appends WAL bytes
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kUpdate, metrics_->op_update, mt0, tid, key);
-    return swapped;
+    return run_op(obs::OpKind::kUpdate, 1, key, tid, [&] {
+      bool swapped = false;
+      on_key(key, tid, [&](ShardT& s) {
+        return s.try_cas(key, expected, desired, tid, swapped);
+      });
+      maybe_auto_snapshot(tid);  // a swap appends WAL bytes
+      return swapped;
+    });
   }
 
   /// Atomic read-modify-write counter bump built on cas(): creates the
@@ -1140,21 +1008,119 @@ class KvStore {
     }
   }
 
-  /// End-of-op probe: one conversion + one relaxed lane increment; the
-  /// trace shard is only hashed on the slow branch.  t0 == 0 means
-  /// op_begin() chose not to sample this op.  Out of line on purpose —
-  /// only sampled ops get here, and keeping the histogram machinery out
-  /// of get/put keeps the metrics-on icache footprint flat.
-  [[gnu::noinline]] void record_op(obs::OpKind kind, obs::LatencyHistogram& h,
-                                   std::uint64_t t0, unsigned tid,
-                                   const K& key) {
-    if (t0 == 0) return;
+  /// The op skeleton every entry point runs through, in this order: the
+  /// sampling probe, the liveness heartbeat, the admission gate, `body`
+  /// (all of the op's work: index hooks, the table-guarded install,
+  /// counters, auto-grow/auto-snapshot), then one latency record.  The
+  /// gate sits after op_begin() so a throttle wait lands inside the
+  /// op's observed latency (and its trace tag survives — op_begin
+  /// resets tls_cause first), while a refusal throws before any store
+  /// state is touched.  `writes` == 0 gates a read, else a write of
+  /// that many keys; `trace_key` picks the shard a slow-op trace names.
+  /// Always inlined, so each entry point compiles to one function that
+  /// reads its own arguments: left to itself GCC 12 kept run_op out of
+  /// line for put/insert/remove, with the body reaching every argument
+  /// through the closure, and perfbench churn-hot-stalled ran about 3%
+  /// slower (4-CPU x86-64 VM).
+  template <class Body>
+  [[gnu::always_inline]] inline decltype(auto) run_op(
+      obs::OpKind kind, std::size_t writes, const K& trace_key, unsigned tid,
+      Body&& body) {
+    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
+    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
+    if (admit_ && !admit_op(writes)) throw Overloaded(writes != 0);
+    if constexpr (std::is_void_v<decltype(body())>) {
+      body();
+      if (mt0 != 0) record_op(kind, mt0, tid, trace_key);
+    } else {
+      auto out = body();
+      if (mt0 != 0) record_op(kind, mt0, tid, trace_key);
+      return out;
+    }
+  }
+
+  /// Point-op retry loop under one table announcement: `attempt` runs
+  /// the op in the key's shard and returns false when the key's bucket
+  /// is frozen (nothing happened); the op then helps or waits out that
+  /// bucket's migration and runs again in the next table.
+  template <class Attempt>
+  void on_key(const K& key, unsigned tid, Attempt&& attempt) {
+    TableGuard g(*this, tid);
+    Table* t = g.table;
+    while (!attempt(shard_in(*t, key))) t = wait_forward(*t, key, tid);
+  }
+
+  /// Batch-op dispatch from table `t` (the caller's TableGuard keeps it
+  /// and every table it forwards to alive): a stable counting sort of
+  /// the pending batch positions by shard, then apply(shard, idx, m,
+  /// defer) once per non-empty shard group — one tracker session each —
+  /// with frozen-bucket positions appended to `defer`.  Deferred
+  /// positions wait for their buckets' migration and are regrouped
+  /// against the next table until none is left.  Returns the final
+  /// table.  The scratch is thread_local per instantiation, i.e. per
+  /// call site; no by_shard call runs inside another.
+  template <class KeyOf, class Apply>
+  Table* by_shard(Table* t, std::size_t n, KeyOf&& key_of, unsigned tid,
+                  Apply&& apply) {
+    static thread_local std::vector<std::uint32_t> pend, defer, shard_of,
+        order;
+    static thread_local std::vector<std::size_t> start;
+    pend.resize(n);
+    for (std::size_t i = 0; i < n; ++i) pend[i] = static_cast<std::uint32_t>(i);
+    for (;;) {
+      // Shard s's positions land at order[start[s-1] .. start[s]) (from
+      // 0 for shard 0), in their original relative order.
+      const std::size_t m = pend.size();
+      shard_of.resize(m);
+      order.resize(m);
+      start.assign(t->mask + 2, 0);
+      for (std::size_t i = 0; i < m; ++i) {
+        shard_of[i] =
+            static_cast<std::uint32_t>(shard_index_in(*t, key_of(pend[i])));
+        ++start[shard_of[i] + 1];
+      }
+      for (std::size_t s = 1; s <= t->mask + 1; ++s) start[s] += start[s - 1];
+      for (std::size_t i = 0; i < m; ++i) order[start[shard_of[i]]++] = pend[i];
+      defer.clear();
+      for (std::size_t s = 0; s <= t->mask; ++s) {
+        const std::size_t b = s == 0 ? 0 : start[s - 1], e = start[s];
+        if (b != e) apply(*t->shards[s], order.data() + b, e - b, defer);
+      }
+      if (defer.empty()) return t;
+      t = wait_forward_all(*t, key_of, defer, tid);
+      pend.swap(defer);
+    }
+  }
+
+  /// End-of-op probe for a sampled op (op_begin() returned t0 != 0):
+  /// one conversion + one relaxed lane increment in the kind's
+  /// histogram; the trace shard is only hashed on the slow branch.  Out
+  /// of line on purpose — only sampled ops get here, and keeping the
+  /// histogram machinery out of get/put keeps the metrics-on icache
+  /// footprint flat.
+  [[gnu::noinline]] void record_op(obs::OpKind kind, std::uint64_t t0,
+                                   unsigned tid, const K& key) {
     const std::uint64_t ns = obs::ticks_to_ns(obs::now_ticks() - t0);
-    h.record_owned(ns, tid);  // tid's lane: this thread is its only writer
+    op_histogram(kind).record_owned(ns, tid);  // tid's lane: its only writer
     if (ns < metrics_->opt.slow_op_ns) return;
     TableGuard g(*this, tid);  // the op's guard is gone; resize frees tables
     const auto shard = static_cast<std::uint32_t>(shard_index_in(*g.table, key));
     metrics_->trace.push(kind, shard, ns, obs::tls_cause);
+  }
+
+  /// The latency histogram an op kind records into: inserts share put's,
+  /// cas shares update's (it records as kUpdate), and every batch op —
+  /// txn_commit records as kMultiPut — shares the multi histogram.
+  obs::LatencyHistogram& op_histogram(obs::OpKind kind) noexcept {
+    switch (kind) {
+      case obs::OpKind::kGet: return metrics_->op_get;
+      case obs::OpKind::kPut:
+      case obs::OpKind::kInsert: return metrics_->op_put;
+      case obs::OpKind::kUpdate: return metrics_->op_update;
+      case obs::OpKind::kRemove: return metrics_->op_remove;
+      case obs::OpKind::kScan: return metrics_->op_scan;
+      default: return metrics_->op_multi;
+    }
   }
 
   /// Gauge collector for the registry/sampler: one stats() pass fans out
@@ -1218,18 +1184,14 @@ class KvStore {
     }
   }
 
-  /// Admission gates: sit between op_begin() and the table guard, so a
-  /// throttle wait lands inside the op's observed latency (and its
-  /// trace tag survives — op_begin resets tls_cause first) while a
-  /// refusal throws before any store state is touched.  One untaken
-  /// branch when admission is off.
-  void gate_read() {
-    if (admit_ && !admit_->admit_read()) throw Overloaded(false);
-  }
-  void gate_write(std::size_t n = 1) {
-    if (admit_ && !admit_->admit_write(static_cast<std::uint32_t>(
-                      std::min<std::size_t>(n, 0xffffffffu))))
-      throw Overloaded(true);
+  /// Admission decision for run_op (only called when admission is on):
+  /// a read when `writes` == 0, else a write of that many keys.  Out of
+  /// line so the controller's throttle code stays out of every op body:
+  /// with admission off an op pays one untaken branch.
+  [[gnu::noinline]] bool admit_op(std::size_t writes) {
+    if (writes == 0) return admit_->admit_read();
+    return admit_->admit_write(static_cast<std::uint32_t>(
+        std::min<std::size_t>(writes, 0xffffffffu)));
   }
 
   // ---- secondary ordered index internals ----
@@ -1252,11 +1214,11 @@ class KvStore {
     return static_cast<std::uint64_t>(key);
   }
 
-  /// Membership hooks.  Only a write that made its key present calls
-  /// index_add, AFTER its primary install (put/multi_put/txn puts that
-  /// found the key absent, insert when it inserted, every put_copy);
-  /// every remover calls index_drop BEFORE its primary erase.  Why no
-  /// live key is missed at quiescence:
+  /// Membership hooks.  Every write that found its key absent calls
+  /// index_add AFTER its install (put/multi_put/txn puts that found the
+  /// key absent, insert when it inserted); every remover calls
+  /// index_drop BEFORE its primary erase.  Why no live key is missed at
+  /// quiescence:
   ///  - an in-place replace (put, update, cas) succeeds only by CAS on
   ///    an unmarked value cell, so the key was present at that instant:
   ///    some write made it present, and that write adds the entry after
@@ -1268,11 +1230,6 @@ class KvStore {
   ///  - a drop after W's add belongs to a remover whose primary erase
   ///    comes later still, so it would erase the key and end W's
   ///    presence — none exists, so W's entry is the key's last index op.
-  /// put_copy is why that rule is "made present", not "was absent": its
-  /// remove half erases the key WITHOUT dropping the entry, so it must
-  /// add it back even when it saw the key (else: W adds, a remover
-  /// drops, put_copy erases and re-inserts, the remover's erase misses,
-  /// and the key is live but unindexed).
   /// The index may therefore hold STALE entries — index key with no
   /// primary pair — which scans skip (primary miss) and which the key's
   /// next insert/remove cycle reuses or drops; stale entries are never
@@ -1299,69 +1256,51 @@ class KvStore {
   std::size_t scan_bounded(const K& lo, const K& hi, std::size_t max,
                            unsigned tid, Fn&& fn) {
     if (!index_ || max == 0 || index_key(lo) > index_key(hi)) return 0;
-    const std::uint64_t mt0 = metrics_ ? metrics_->op_begin() : 0;
-    obs::BeatScope hb(wd(), tid, obs::Site::kKvOp);
-    gate_read();
-    static constexpr std::size_t kScanBatch = 128;
-    static thread_local std::vector<std::pair<std::uint64_t, std::uint8_t>>
-        chunk(kScanBatch);
-    static thread_local std::vector<K> keys(kScanBatch);
-    static thread_local std::vector<std::optional<V>> vals(kScanBatch);
-    std::size_t visited = 0;
-    std::uint64_t cursor = index_key(lo);
-    const std::uint64_t end = index_key(hi);
-    while (visited < max) {
-      const std::size_t want = std::min(kScanBatch, max - visited);
-      const std::size_t n =
-          index_->tree.range_get(cursor, end, chunk.data(), want, tid);
-      if (n == 0) break;
-      for (std::size_t i = 0; i < n; ++i) keys[i] = static_cast<K>(chunk[i].first);
-      multi_get_core(keys.data(), n, vals.data(), tid);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!vals[i].has_value()) continue;
-        ++visited;
-        fn(keys[i], *vals[i]);
+    return run_op(obs::OpKind::kScan, /*writes=*/0, lo, tid, [&] {
+      static constexpr std::size_t kScanBatch = 128;
+      static thread_local std::vector<std::pair<std::uint64_t, std::uint8_t>>
+          chunk(kScanBatch);
+      static thread_local std::vector<K> keys(kScanBatch);
+      static thread_local std::vector<std::optional<V>> vals(kScanBatch);
+      std::size_t visited = 0;
+      std::uint64_t cursor = index_key(lo);
+      const std::uint64_t end = index_key(hi);
+      while (visited < max) {
+        const std::size_t want = std::min(kScanBatch, max - visited);
+        const std::size_t n =
+            index_->tree.range_get(cursor, end, chunk.data(), want, tid);
+        if (n == 0) break;
+        for (std::size_t i = 0; i < n; ++i)
+          keys[i] = static_cast<K>(chunk[i].first);
+        multi_get_core(keys.data(), n, vals.data(), tid);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (!vals[i].has_value()) continue;
+          ++visited;
+          fn(keys[i], *vals[i]);
+        }
+        if (chunk[n - 1].first >= end || n < want) break;
+        cursor = chunk[n - 1].first + 1;
+        // Liveness beat between chunks: restarts the watchdog's stall
+        // clock so a legitimately wide scan is not reported as a hang.
+        obs::beat();
       }
-      if (chunk[n - 1].first >= end || n < want) break;
-      cursor = chunk[n - 1].first + 1;
-      // Liveness beat between chunks: restarts the watchdog's stall
-      // clock so a legitimately wide scan is not reported as a hang.
-      obs::beat();
-    }
-    counters_.inc(kScanOps, tid);
-    counters_.inc(kScanKeys, tid, visited);
-    if (metrics_ && mt0 != 0)
-      record_op(obs::OpKind::kScan, metrics_->op_scan, mt0, tid, lo);
-    return visited;
+      counters_.inc(kScanOps, tid);
+      counters_.inc(kScanKeys, tid, visited);
+      return visited;
+    });
   }
 
-  /// Shard-grouped lookup core of multi_get() and scan chunks: a
-  /// counting sort by shard, one tracker session per shard's group;
-  /// keys whose bucket is frozen are deferred and re-dispatched,
-  /// regrouped, against the forwarded table.
+  /// Shard-grouped lookup core of multi_get() and scan chunks: one
+  /// tracker session per shard's group (by_shard).
   void multi_get_core(const K* keys, std::size_t n, std::optional<V>* out,
                       unsigned tid) {
     TableGuard g(*this, tid);
-    Table* t = g.table;
-    static thread_local ShardPlan plan;  // buffers reused across calls
-    static thread_local std::vector<std::uint32_t> pend, defer;
-    pend.resize(n);
-    for (std::size_t i = 0; i < n; ++i) pend[i] = static_cast<std::uint32_t>(i);
-    for (;;) {
-      group_subset(plan, *t, pend, [&](std::uint32_t i) {
-        return shard_index_in(*t, keys[i]);
-      });
-      defer.clear();
-      for (std::size_t s = 0; s <= t->mask; ++s) {
-        const std::size_t b = s == 0 ? 0 : plan.start[s - 1], e = plan.start[s];
-        if (b != e)
-          t->shards[s]->multi_get(keys, plan.order.data() + b, e - b, out, tid,
-                                  defer);
-      }
-      if (defer.empty()) return;
-      t = wait_forward_all(*t, keys, defer, tid);
-      pend.swap(defer);
-    }
+    by_shard(
+        g.table, n, [&](std::uint32_t i) -> const K& { return keys[i]; }, tid,
+        [&](ShardT& s, const std::uint32_t* idx, std::size_t m,
+            std::vector<std::uint32_t>& defer) {
+          s.multi_get(keys, idx, m, out, tid, defer);
+        });
   }
 
   std::size_t shard_index_in(const Table& t, const K& key) const noexcept {
@@ -1386,9 +1325,9 @@ class KvStore {
     return t.next.load(std::memory_order_acquire);
   }
 
-  /// Multi-op flavor: wait for (or help) EVERY deferred key's bucket,
-  /// then step the whole remainder one table forward.  `key_of` maps a
-  /// batch index to its key (identity-array and op-pair callers).
+  /// Batch flavor: wait for (or help) EVERY deferred key's bucket, then
+  /// step the whole remainder one table forward.  `key_of` maps a batch
+  /// position to its key.
   template <class KeyOf>
   Table* wait_forward_all(Table& t, KeyOf&& key_of,
                           const std::vector<std::uint32_t>& deferred,
@@ -1400,12 +1339,6 @@ class KvStore {
       wait_bucket(t, s, t.shards[s]->bucket_index(key), tid);
     }
     return t.next.load(std::memory_order_acquire);
-  }
-  Table* wait_forward_all(Table& t, const K* keys,
-                          const std::vector<std::uint32_t>& deferred,
-                          unsigned tid) {
-    return wait_forward_all(
-        t, [&](std::uint32_t i) -> const K& { return keys[i]; }, deferred, tid);
   }
 
   /// Help-or-backoff wait on one bucket's migration: claim it and do
@@ -1505,34 +1438,6 @@ class KvStore {
                       static_cast<std::uint32_t>(s));
     }
     return true;
-  }
-
-  /// Counting-sort grouping for multi-ops over an index SUBSET (the
-  /// not-yet-completed remainder of a batch).  After the call, shard
-  /// s's batch indices sit at order[b .. start[s]) with b = start[s-1]
-  /// (0 for shard 0), in their original relative order (stable).
-  struct ShardPlan {
-    std::vector<std::uint32_t> shard_of, order;
-    std::vector<std::size_t> start;
-  };
-
-  template <class ShardOf>
-  void group_subset(ShardPlan& plan, const Table& t,
-                    const std::vector<std::uint32_t>& items,
-                    ShardOf&& shard_of) {
-    const std::size_t n = items.size();
-    plan.shard_of.resize(n);
-    plan.order.resize(n);
-    plan.start.assign(t.mask + 2, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto s = static_cast<std::uint32_t>(shard_of(items[i]));
-      plan.shard_of[i] = s;
-      ++plan.start[s + 1];
-    }
-    for (std::size_t s = 1; s <= t.mask + 1; ++s)
-      plan.start[s] += plan.start[s - 1];
-    for (std::size_t i = 0; i < n; ++i)
-      plan.order[plan.start[plan.shard_of[i]]++] = items[i];
   }
 
   /// Core migration; caller holds resize_mu_.

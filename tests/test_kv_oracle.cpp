@@ -13,14 +13,13 @@
 // traffic (shared shards, shared buckets, shared reclamation domains,
 // cross-shard multi-op sessions).
 //
-// Runs across all 8 trackers and BOTH upsert paths: the in-place
-// value-cell swap (put) and the legacy remove+re-insert (put_copy).
-// The recorded streams cover every cross-shard multi-op — multi_get,
-// multi_put and multi_remove — against per-key reference results, and
-// the transactional surface: txn_commit (applied to the reference
-// atomically under ONE lock hold, then diffed key-by-key right after
-// the commit returns), cas (present keys must swap exactly once, wrong
-// expectations must not write) and incr (exact running sums).
+// Runs across all 8 trackers.  The recorded streams cover every
+// cross-shard multi-op — multi_get, multi_put and multi_remove —
+// against per-key reference results, and the transactional surface:
+// txn_commit (applied to the reference atomically under ONE lock hold,
+// then diffed key-by-key right after the commit returns), cas (present
+// keys must swap exactly once, wrong expectations must not write) and
+// incr (exact running sums).
 //
 // Ordered access: the store runs with the secondary ordered index ON,
 // and the streams include kScan ops — each thread scans windows of its
@@ -195,9 +194,9 @@ kv::KvConfig oracle_cfg() {
   c.tracker.retire_batch = 4;
   // WFE_TEST_ADMIT=1 runs the whole oracle with the admission
   // controller live (fast driver ticks, limits so generous nothing is
-  // ever shed): the sanitizer jobs then race gate_read/gate_write and
-  // the driver against every op shape, exercising the controller's
-  // concurrency rather than its control law.
+  // ever shed): the sanitizer jobs then race the store's admission
+  // gate and the driver against every op shape, exercising the
+  // controller's concurrency rather than its control law.
   if (std::getenv("WFE_TEST_ADMIT") != nullptr) {
     c.admission.enabled = true;
     c.admission.max_write_rate = 1e12;
@@ -211,11 +210,10 @@ kv::KvConfig oracle_cfg() {
 }
 
 /// Replays one recorded stream against both systems in lockstep,
-/// asserting every result matches.  `in_place` selects the upsert path
-/// for kPut ops.
+/// asserting every result matches.
 template <class TR>
 void replay(Store<TR>& store, Reference& ref, const std::vector<Op>& ops,
-            unsigned tid, bool in_place) {
+            unsigned tid) {
   std::vector<std::uint64_t> mkeys(kMultiBatch);
   std::vector<std::optional<std::uint64_t>> mout(kMultiBatch);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> mputs(kMultiBatch);
@@ -226,9 +224,7 @@ void replay(Store<TR>& store, Reference& ref, const std::vector<Op>& ops,
                   ref.insert(op.key, op.value));
         break;
       case Op::kPut:
-        ASSERT_EQ(in_place ? store.put(op.key, op.value, tid)
-                           : store.put_copy(op.key, op.value, tid),
-                  ref.put(op.key, op.value));
+        ASSERT_EQ(store.put(op.key, op.value, tid), ref.put(op.key, op.value));
         break;
       case Op::kUpdate:
         ASSERT_EQ(store.update(op.key, op.value, tid),
@@ -352,7 +348,7 @@ void diff_states(Store<TR>& store, Reference& ref, unsigned phase) {
 }
 
 template <class TR>
-void run_oracle(bool in_place, bool with_resize) {
+void run_oracle(bool with_resize) {
   Store<TR> store(oracle_cfg<TR>());
   Reference ref;
   for (unsigned phase = 0; phase < kPhases; ++phase) {
@@ -362,7 +358,7 @@ void run_oracle(bool in_place, bool with_resize) {
     std::vector<std::thread> threads;
     for (unsigned t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
-        replay<TR>(store, ref, streams[t], t, in_place);
+        replay<TR>(store, ref, streams[t], t);
       });
     }
     if (with_resize) {
@@ -393,7 +389,7 @@ void run_oracle(bool in_place, bool with_resize) {
   // batched_ops is a per-table counter: in resize mode the final table
   // may have been created after the last multi-op ran, so only the
   // fixed-geometry runs can demand it ticked.
-  if (in_place && !with_resize) {
+  if (!with_resize) {
     EXPECT_GT(tot.batched_ops, 0u);
   }
   if (with_resize) {
@@ -419,19 +415,11 @@ class KvOracleTest : public ::testing::Test {};
 TYPED_TEST_SUITE(KvOracleTest, test::AllTrackers);
 
 TYPED_TEST(KvOracleTest, InPlaceUpsertsMatchOracle) {
-  run_oracle<TypeParam>(/*in_place=*/true, /*with_resize=*/false);
-}
-
-TYPED_TEST(KvOracleTest, CopyUpsertsMatchOracle) {
-  run_oracle<TypeParam>(/*in_place=*/false, /*with_resize=*/false);
+  run_oracle<TypeParam>(/*with_resize=*/false);
 }
 
 TYPED_TEST(KvOracleTest, InPlaceUpsertsMatchOracleAcrossResize) {
-  run_oracle<TypeParam>(/*in_place=*/true, /*with_resize=*/true);
-}
-
-TYPED_TEST(KvOracleTest, CopyUpsertsMatchOracleAcrossResize) {
-  run_oracle<TypeParam>(/*in_place=*/false, /*with_resize=*/true);
+  run_oracle<TypeParam>(/*with_resize=*/true);
 }
 
 // Scans look each index chunk up in the primary as one batch, so a

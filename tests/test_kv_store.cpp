@@ -164,57 +164,69 @@ TYPED_TEST(KvStoreTest, BatchedRetireFlushesInBursts) {
 // check against the counting allocator (TrackerBase counters).
 TYPED_TEST(KvStoreTest, ConcurrentSweep8Threads) {
   constexpr unsigned kThreads = 8;
-  constexpr int kOpsPerThread = 8000;
+  // 8000 ops per thread in total, split into short rounds that start
+  // together behind a barrier and are each checked at quiescence: one
+  // long run checked once lets later ops heal a lost race, and threads
+  // started one by one barely overlap.
+  constexpr int kRounds = 25, kOpsPerRound = 320;
   auto cfg = small_cfg<TypeParam>(kThreads, 4);
   {
     Store<TypeParam> store(cfg);
-    // Updates run on their own preloaded key range: update() retries
-    // remove+insert internally, so a concurrent insert() on the same key
-    // can be absorbed without the outside observer seeing a balanced
-    // pair — disjoint ranges keep the balance ledger exact while still
-    // racing update against update.
+    // Updates run on their own preloaded key range, so every update
+    // finds its key and they race each other's value-cell swaps.
+    // update() is an in-place cell CAS that never changes membership,
+    // so the balance ledger counts only inserts and removes.
     constexpr std::uint64_t kUpdBase = 1u << 20, kUpdKeys = 128;
     for (std::uint64_t k = 0; k < kUpdKeys; ++k)
       ASSERT_TRUE(store.insert(kUpdBase + k, k, 0));
     std::atomic<long> balance{0};
-    std::vector<std::thread> threads;
-    for (unsigned tid = 0; tid < kThreads; ++tid) {
-      threads.emplace_back([&, tid] {
-        util::Xoshiro256 rng(tid + 97);
-        for (int i = 0; i < kOpsPerThread; ++i) {
-          const std::uint64_t k = rng.next_bounded(1024) + 1;
-          switch (rng.next_bounded(4)) {
-            case 0:
-              if (store.insert(k, k, tid)) balance.fetch_add(1);
-              break;
-            case 1:
-              if (store.remove(k, tid)) balance.fetch_sub(1);
-              break;
-            case 2:
-              store.update(kUpdBase + rng.next_bounded(kUpdKeys), i, tid);
-              break;
-            case 3:
-              store.get(k, tid);
-              break;
+    for (int round = 0; round < kRounds; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      std::atomic<unsigned> ready{0};
+      std::vector<std::thread> threads;
+      for (unsigned tid = 0; tid < kThreads; ++tid) {
+        threads.emplace_back([&, tid] {
+          util::Xoshiro256 rng(round * kThreads + tid + 97);
+          ready.fetch_add(1);
+          while (ready.load() < kThreads) std::this_thread::yield();
+          for (int i = 0; i < kOpsPerRound; ++i) {
+            const std::uint64_t k = rng.next_bounded(1024) + 1;
+            switch (rng.next_bounded(4)) {
+              case 0:
+                if (store.insert(k, k, tid)) balance.fetch_add(1);
+                break;
+              case 1:
+                if (store.remove(k, tid)) balance.fetch_sub(1);
+                break;
+              case 2:
+                store.update(kUpdBase + rng.next_bounded(kUpdKeys), i, tid);
+                break;
+              case 3:
+                store.get(k, tid);
+                break;
+            }
           }
-        }
-        store.flush_retired(tid);
-      });
-    }
-    for (auto& t : threads) t.join();
-    ASSERT_EQ(static_cast<std::size_t>(balance.load()) + kUpdKeys,
-              store.size_unsafe());
+          store.flush_retired(tid);
+        });
+      }
+      for (auto& t : threads) t.join();
+      ASSERT_EQ(static_cast<std::size_t>(balance.load()) + kUpdKeys,
+                store.size_unsafe());
 
-    // Birth/retire balance while the store is alive (see kv_balance.hpp
-    // for the ledger and how conditional-install aborts are absorbed).
-    test::expect_block_balance(store.stats().total(), store.size_unsafe(),
-                               "store total");
-    // And per shard — domains are independent, so the identity must
-    // hold shard-locally too.
-    const kv::KvStats st = store.stats();
-    for (std::size_t i = 0; i < st.shards.size(); ++i)
-      test::expect_block_balance(st.shards[i], store.shard_at(i).size_unsafe(),
-                                 "per-shard balance");
+      // Birth/retire balance while the store is alive (see
+      // kv_balance.hpp for the ledger and how conditional-install aborts
+      // are absorbed).
+      test::expect_block_balance(store.stats().total(), store.size_unsafe(),
+                                 "store total");
+      // And per shard — domains are independent, so the identity must
+      // hold shard-locally too.
+      const kv::KvStats st = store.stats();
+      for (std::size_t i = 0; i < st.shards.size(); ++i)
+        test::expect_block_balance(st.shards[i],
+                                   store.shard_at(i).size_unsafe(),
+                                   "per-shard balance");
+      if (::testing::Test::HasFailure()) return;
+    }
   }
   // Store destroyed: every shard drained its domain — nothing leaks
   // (verified inside the tracker destructors via drain_all_unsafe; a
@@ -287,7 +299,7 @@ TYPED_TEST(KvStoreTest, OrderedIndexCoversLiveKeysAfterRacingWrites) {
               break;
             }
             case 7:
-              store.put_copy(k, v, tid);
+              store.put(k, v, tid);
               break;
           }
         }

@@ -73,8 +73,8 @@ kv::KvConfig stress_cfg() {
   return c;
 }
 
-/// One writer's deterministic slice workload: random put / put_copy /
-/// insert / remove / multi_put / multi_get against keys
+/// One writer's deterministic slice workload: random put / insert /
+/// remove / multi_put / multi_get against keys
 /// [1 + tid*kSlice, 1 + (tid+1)*kSlice), with every result asserted
 /// against a sequential expected-map (slice-disjointness makes each
 /// result deterministic no matter how the other threads interleave).
@@ -95,14 +95,8 @@ void writer_loop(Store<TR>& store, unsigned tid, unsigned ops,
     const std::uint64_t k = base + rng.next_bounded(kSlice - kMultiBatch);
     const std::uint64_t v = rng.next() | 1;
     switch (rng.next_bounded(8)) {
-      case 0: case 1: {
+      case 0: case 1: case 2: {
         const bool was_absent = store.put(k, v, tid);
-        ASSERT_EQ(was_absent, expected.find(k) == expected.end());
-        expected[k] = v;
-        break;
-      }
-      case 2: {
-        const bool was_absent = store.put_copy(k, v, tid);
         ASSERT_EQ(was_absent, expected.find(k) == expected.end());
         expected[k] = v;
         break;

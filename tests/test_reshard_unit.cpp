@@ -223,8 +223,6 @@ TYPED_TEST(ReshardUnitTest, AllOpClassesAfterResizeMatchReference) {
   ref[50] = 500;
   EXPECT_EQ(s.put(1000, 1, kTid), true);
   ref[1000] = 1;
-  EXPECT_EQ(s.put_copy(60, 600, kTid), false);
-  ref[60] = 600;
   EXPECT_TRUE(s.update(70, 700, kTid));
   ref[70] = 700;
   EXPECT_FALSE(s.update(2000, 1, kTid));
@@ -274,7 +272,9 @@ TYPED_TEST(ReshardUnitTest, FrozenBucketForwards) {
   ASSERT_FALSE(pairs.empty());
   for (const auto& [k, v] : pairs) EXPECT_EQ(v, k * 10);
 
-  // Every op class on a frozen-bucket key: incomplete, no state change.
+  // Every freeze-aware entry on a frozen-bucket key reports it
+  // incomplete (try_*) or deferred (batch halves), with no state change.
+  const kv::ShardStats before = shard.stats();
   std::optional<std::uint64_t> out;
   bool flag = false;
   EXPECT_FALSE(shard.try_get(key, kTid, out));
@@ -285,15 +285,58 @@ TYPED_TEST(ReshardUnitTest, FrozenBucketForwards) {
   EXPECT_FALSE(shard.try_insert(absent, 1, kTid, flag));
   EXPECT_FALSE(shard.try_update(key, 1, kTid, flag));
   EXPECT_FALSE(shard.try_remove(key, kTid, out));
-  bool saw_present = false;
-  EXPECT_FALSE(shard.try_put_copy(key, 1, kTid, saw_present));
+  bool swapped = false;
+  EXPECT_FALSE(shard.try_cas(key, key * 10, 1, kTid, swapped));
+  EXPECT_FALSE(swapped);
+  const std::vector<std::uint32_t> only0{0};
   std::vector<std::uint32_t> deferred, inserted;
   const std::uint32_t idx0 = 0;
   shard.multi_put(
       std::vector<std::pair<std::uint64_t, std::uint64_t>>{{key, 1}}.data(),
       &idx0, 1, kTid, deferred, inserted);
   EXPECT_TRUE(inserted.empty());
-  EXPECT_EQ(deferred.size(), 1u);
+  EXPECT_EQ(deferred, only0);
+  // Batch halves leave a deferred position's out slot untouched.
+  const std::optional<std::uint64_t> kUntouched = 424242;
+  std::optional<std::uint64_t> mout = kUntouched;
+  deferred.clear();
+  shard.multi_get(&key, &idx0, 1, &mout, kTid, deferred);
+  EXPECT_EQ(deferred, only0);
+  EXPECT_EQ(mout, kUntouched);
+  deferred.clear();
+  EXPECT_EQ(shard.multi_remove(&key, &idx0, 1, &mout, kTid, deferred), 0u);
+  EXPECT_EQ(deferred, only0);
+  EXPECT_EQ(mout, kUntouched);
+  // A transaction slice with a remove of a present key and a put of an
+  // absent one: both deferred, no intent pair, nothing reported.
+  const txn::TxnOp<std::uint64_t, std::uint64_t> tops[] = {
+      {key, 0, /*is_remove=*/true}, {absent, 1, /*is_remove=*/false}};
+  const std::uint32_t tidx[] = {0, 1};
+  deferred.clear();
+  const auto slice =
+      shard.txn_apply(tops, tidx, 2, /*txn_id=*/1, kTid, deferred, inserted);
+  EXPECT_EQ(slice.pairs, 0u);
+  EXPECT_EQ(slice.removed, 0u);
+  EXPECT_EQ(slice.last_lsn, 0u);
+  EXPECT_EQ(deferred, (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_TRUE(inserted.empty());
+  // No state change: the frozen bucket still holds exactly what was
+  // collected, no op counter ticked, and every block an aborted
+  // install allocated went straight back.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> again;
+  std::vector<bool> live_again;
+  shard.collect_bucket(b, again, live_again);
+  EXPECT_EQ(again, pairs);
+  EXPECT_EQ(live_again, live);
+  const kv::ShardStats after = shard.stats();
+  EXPECT_EQ(after.ops(), before.ops());
+  EXPECT_EQ(after.cas_ops, before.cas_ops);
+  EXPECT_EQ(after.txn_ops, before.txn_ops);
+  EXPECT_EQ(after.batched_ops, before.batched_ops);
+  EXPECT_EQ(after.value_cell_retires, before.value_cell_retires);
+  EXPECT_EQ(after.retired + after.pending_retired,
+            before.retired + before.pending_retired);
+  EXPECT_EQ(after.allocated - after.freed, before.allocated - before.freed);
 
   // A key in a different, unfrozen bucket completes normally.
   std::uint64_t other = 0;
