@@ -178,8 +178,7 @@ struct KvConfig {
   /// buckets concurrently with the resizer.
   std::size_t resize_freeze_ahead = 8;
   /// Test/CI knob: freeze EVERY source bucket up front so all traffic
-  /// must take the helping path.  ORed with the WFE_TEST_HELP
-  /// environment variable at construction.
+  /// must take the helping path.
   bool resize_force_help = false;
   /// Durability backend (persist::Options.enabled = false keeps the
   /// store purely in-memory).  Requires K and V to be trivially
@@ -242,9 +241,6 @@ class KvStore {
             1, cfg.persistence.snapshot_check_interval)));
     cfg_.resize_freeze_ahead =
         std::max<std::size_t>(1, cfg_.resize_freeze_ahead);
-    if (const char* e = std::getenv("WFE_TEST_HELP");
-        e != nullptr && *e != '\0' && *e != '0')
-      cfg_.resize_force_help = true;
     if (cfg_.admission.enabled) {
       // The controller consumes the sampler's time series; admission
       // without metrics would run open-loop.
@@ -379,6 +375,7 @@ class KvStore {
       on_key(key, tid, [&](ShardT& s) {
         return s.try_update(key, value, tid, updated);
       });
+      maybe_auto_snapshot(tid);
       return updated;
     });
   }
@@ -1465,10 +1462,10 @@ class KvStore {
     // Freeze ahead of the migrate cursor: a frozen-but-unclaimed bucket
     // is claimable by any op that hits it, so the window is the
     // migration's parallelism (helpers copy distinct buckets while this
-    // thread copies another).  Forced-help mode (WFE_TEST_HELP /
-    // resize_force_help) freezes everything up front, and the park hook
-    // — test-only — then stalls this thread with NO claim held, so
-    // every bucket traffic touches must complete via helping.
+    // thread copies another).  Forced-help mode (resize_force_help)
+    // freezes everything up front, and the park hook — test-only —
+    // then stalls this thread with NO claim held, so every bucket
+    // traffic touches must complete via helping.
     const std::size_t total = (src->mask + 1) * src->buckets;
     const bool freeze_all =
         cfg_.resize_force_help || static_cast<bool>(resize_park_hook_);

@@ -192,6 +192,9 @@ kv::KvConfig oracle_cfg() {
   c.tracker.era_freq = 8;
   c.tracker.cleanup_freq = 4;
   c.tracker.retire_batch = 4;
+  // WFE_TEST_HELP=1 freezes every bucket at each resize, so all traffic
+  // crossing a migration must take the helping path.
+  c.resize_force_help = harness::env_long("WFE_TEST_HELP", 0) != 0;
   // WFE_TEST_ADMIT=1 runs the whole oracle with the admission
   // controller live (fast driver ticks, limits so generous nothing is
   // ever shed): the sanitizer jobs then race the store's admission

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -464,6 +465,51 @@ TYPED_TEST(TxnStoreTest, AbortIsDroppingTheBuffer) {
   // Empty commit: no id burned, no record written.
   txn::Txn<std::uint64_t, std::uint64_t> e;
   EXPECT_EQ(store.txn_commit(e, 0), 0u);
+}
+
+// Every write entry point appends WAL bytes, so each one alone must be
+// able to trigger the size-driven auto-snapshot.  Each case gets its
+// own directory: keys 1..64 are loaded with auto-snapshot off, then the
+// store reopens with snapshot_every_bytes = 1 (checked on every write)
+// and only the entry point under test runs.
+TYPED_TEST(TxnStoreTest, EveryWriteEntryPointDrivesAutoSnapshot) {
+  using S = Store<TypeParam>;
+  using KV = std::pair<std::uint64_t, std::uint64_t>;
+  const std::vector<std::pair<const char*, std::function<void(S&)>>> cases = {
+      {"put", [](S& s) { s.put(1, 2, 0); }},
+      {"insert", [](S& s) { s.insert(100, 2, 0); }},
+      {"update", [](S& s) { s.update(1, 2, 0); }},
+      {"remove", [](S& s) { s.remove(1, 0); }},
+      {"cas", [](S& s) { s.cas(1, 1, 2, 0); }},
+      {"multi_put", [](S& s) { s.multi_put(std::vector<KV>{{1, 2}, {2, 3}}, 0); }},
+      {"multi_remove", [](S& s) { s.multi_remove(std::vector<std::uint64_t>{1, 2}, 0); }},
+      {"txn_commit", [](S& s) {
+         txn::Txn<std::uint64_t, std::uint64_t> t;
+         t.put(1, 2);
+         t.remove(2);
+         s.txn_commit(t, 0);
+       }},
+  };
+  for (const auto& [name, write] : cases) {
+    SCOPED_TRACE(name);
+    TempDir td;
+    auto cfg = small_cfg<TypeParam>(2, 2);
+    cfg.persistence.enabled = true;
+    cfg.persistence.dir = td.path;
+    cfg.persistence.sync = persist::SyncMode::kBatched;
+    cfg.persistence.flush_idle_us = 100;
+    cfg.persistence.snapshot_on_open = false;
+    {
+      S store(cfg);
+      for (std::uint64_t k = 1; k <= 64; ++k) ASSERT_TRUE(store.put(k, k, 0));
+    }
+    cfg.persistence.snapshot_every_bytes = 1;
+    cfg.persistence.snapshot_check_interval = 1;
+    S store(cfg);
+    ASSERT_EQ(store.stats().snapshots_written, 0u);
+    write(store);
+    EXPECT_GE(store.stats().snapshots_written, 1u);
+  }
 }
 
 // ---- persistence round trip (one scheme: the protocol under test is
